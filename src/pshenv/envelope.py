@@ -208,25 +208,30 @@ _RHO_GRID = np.array(
 )
 
 
-def _project(frame: _Frame, q: QuadratureSpec, coeffs):
-    """Shrink a disc into the window: row j is scaled by rho**j.
+def _project(frame: _Frame, q: QuadratureSpec, stack):
+    """Shrink each disc of a stack into the window: row j is scaled by rho**j.
 
-    Reparametrizing by a smaller circle keeps the center fixed; the largest
-    feasible rho from a fixed grid wins.  No-op when the disc already fits,
-    and rho = 0 (the constant disc) is always feasible for a feasible
-    center.
+    stack has shape (n, deg+1, dim) and holds discs that leave the window;
+    callers test that first.  Reparametrizing by a smaller circle keeps the
+    center fixed; for each disc the largest feasible rho of a fixed grid
+    wins, and where none fits, the constant disc at the center (rho = 0,
+    always feasible for a feasible center) does.  The n x 14 candidate
+    boundaries take one BLAS call per disc, with the operand layout of a
+    single disc's tensor product over the grid, so each disc gets the rho it
+    would get alone.  Returns a new (n, deg+1, dim) stack.
     """
-    if frame.feasible(boundary_from_coeffs(coeffs, q.M)):
-        return coeffs
-    deg = coeffs.shape[0] - 1
-    pow_ = _RHO_GRID[:, None] ** np.arange(deg + 1)[None, :]
-    scaled = coeffs[None, :, :] * pow_[:, :, None]
-    bnds = np.tensordot(scaled, circle_powers(q.M, deg), axes=([1], [0]))
-    fit = np.flatnonzero(frame.fits(bnds.transpose(0, 2, 1)))
-    if fit.size:
-        return scaled[fit[0]]
-    out = np.zeros_like(coeffs)
-    out[0] = coeffs[0]
+    n, rows, dim = stack.shape
+    pow_ = _RHO_GRID[:, None] ** np.arange(rows)[None, :]
+    scaled = stack[:, None] * pow_[None, :, :, None]
+    # Per disc: (rho * dim, deg+1) @ (deg+1, M), as np.tensordot lays it out.
+    ops = np.ascontiguousarray(scaled.transpose(0, 1, 3, 2)).reshape(n, -1, rows)
+    bnds = np.matmul(ops, circle_powers(q.M, rows - 1))
+    bnds = bnds.reshape(n, _RHO_GRID.size, dim, q.M).transpose(0, 1, 3, 2)
+    fit = frame.fits(bnds)
+    out = scaled[np.arange(n), np.argmax(fit, axis=1)]
+    none = ~fit.any(axis=1)
+    out[none] = 0
+    out[none, 0] = stack[none, 0]
     return out
 
 
@@ -260,14 +265,16 @@ _DIP_LEVELS = ((8.0, 1 / 8), (64.0, 1 / 16), (512.0, 1 / 32))
 def _exp_coeffs(P):
     """Coefficients of exp(P) truncated at P's degree, columnwise.
 
-    Uses the derivative recurrence; the constant row is exactly exp(P[0]),
-    so P[0] = 0 gives a unit constant term with no rounding.
+    P is a stack of log-shapes, shape (n, degree+1, dim).  Uses the
+    derivative recurrence, one step for the whole stack; the constant row is
+    exactly exp(P[:, 0]), so P[:, 0] = 0 gives a unit constant term with no
+    rounding.
     """
     E = np.zeros_like(P)
-    E[0] = np.exp(P[0])
-    for k in range(1, P.shape[0]):
+    E[:, 0] = np.exp(P[:, 0])
+    for k in range(1, P.shape[1]):
         j = np.arange(1, k + 1)
-        E[k] = np.sum(j[:, None] * P[1 : k + 1] * E[:k][::-1], axis=0) / k
+        E[:, k] = np.sum(j[:, None] * P[:, 1 : k + 1] * E[:, :k][:, ::-1], axis=1) / k
     return E
 
 
@@ -326,54 +333,33 @@ def _seed_params(frame, center, coarse: int = 24):
 
 
 def _disc_from_log(frame, center, P):
-    """Assemble anchor + offset * exp(P) with the center row exact."""
+    """Assemble anchor + offset * exp(P) for a stack of log-shapes P.
+
+    P has shape (n, degree+1, dim); the center row of every disc is exact.
+    """
     c0, _ = _seed_anchor(frame)
-    f = c0[None, :] + (center - c0)[None, :] * _exp_coeffs(P)
-    f[0] = center
+    f = c0 + (center - c0) * _exp_coeffs(P)
+    f[:, 0] = center
     return f
 
 
 def _descend_log(frame, q, b: SearchBudget, P, center, stage_degree: int, iters: int):
     """Coordinate descent on the log-shape P of an exponential-form disc.
 
-    Same move set and acceptance rule as ``_descend``, but trials perturb P
-    and are scored through anchor + offset * exp(P); multiplicative dips
-    widen or deepen smoothly under such moves where direct coefficient
-    steps would break the shape.  Returns (coeffs, value, accept threshold).
+    The move loop of ``_descend``, but its trials perturb P and are scored
+    through anchor + offset * exp(P), over the columns whose center is off
+    the anchor; multiplicative dips widen or deepen smoothly under such
+    moves where direct coefficient steps would break the shape.  Returns
+    (coeffs, value, accept threshold).
     """
     P = _resize(P, stage_degree, frame.dim)
-    coeffs, best, btol = _score(frame, q, _disc_from_log(frame, center, P))
-    if best == float("-inf") or iters <= 0:
-        return coeffs, best, btol
-    offset_live = np.abs(center - _seed_anchor(frame)[0]) > 1e-12
-    cols = [c for c in range(frame.dim) if offset_live[c]]
-    if not cols:
-        return coeffs, best, btol
-    step = b.step_init
-    for _ in range(iters):
-        improved = False
-        for row in range(1, stage_degree + 1):
-            for col in cols:
-                hit = False
-                for mag in (4.0 * step, step):
-                    for delta in (mag, -mag, mag * 1j, -mag * 1j):
-                        trial = P.copy()
-                        trial[row, col] += delta
-                        cand, val, vtol = _score(
-                            frame, q, _disc_from_log(frame, center, trial)
-                        )
-                        if val < best - max(vtol, btol):
-                            P, coeffs, best, btol = trial, cand, val, vtol
-                            hit = True
-                            improved = True
-                            break
-                    if hit:
-                        break
-        if not improved:
-            step *= b.step_shrink
-            if step < 1e-10:
-                break
-    return coeffs, best, btol
+    start = _score(frame, q, _disc_from_log(frame, center, P[None])[0])
+    live = np.abs(center - _seed_anchor(frame)[0]) > 1e-12
+    cols = [c for c in range(frame.dim) if live[c]]
+    return _move_loop(
+        frame, q, b, P, cols, stage_degree, iters, start,
+        lambda trials: _disc_from_log(frame, center, trials),
+    )
 
 
 def _arc_cheb_seed(frame, center, degree: int, alpha: float):
@@ -456,7 +442,7 @@ def _best_dip_seed(frame, q, center, degree: int, incumbent: float):
         out = []
         for mu, lhi in plist:
             P = _dip_log(frame, center, degree, mu, lhi)
-            _, v, t = _score(frame, q, _disc_from_log(frame, center, P))
+            _, v, t = _score(frame, q, _disc_from_log(frame, center, P[None])[0])
             out.append((v, mu, lhi, P, t))
         return out
 
@@ -477,29 +463,13 @@ def _best_dip_seed(frame, q, center, degree: int, incumbent: float):
     return best[3], best[0]
 
 
-def _mul_trial(coeffs, j: int, delta):
-    """Multiply the disc by (1 + delta * zeta**j).
-
-    Row 0 is untouched, so the center is preserved bit for bit, and the
-    product is never truncated: dropping tail rows of a large-coefficient
-    product corrupts its boundary far more than skipping the move costs, so
-    ``_descend`` skips the frequencies whose product would pass the stage
-    degree.
-    """
-    rows = coeffs.shape[0]
-    out = np.zeros((rows + j, coeffs.shape[1]), dtype=complex)
-    out[:rows] = coeffs
-    out[j:] += delta * coeffs
-    return out
-
-
 def _score(frame, q, trial):
     """Project a trial back into the window if needed, then evaluate it.
 
     Returns (trial, value, accept threshold)."""
     B = boundary_from_coeffs(trial, q.M)
     if not frame.feasible(B):
-        trial = _project(frame, q, trial)
+        trial = _project(frame, q, trial[None])[0]
         B = boundary_from_coeffs(trial, q.M)
     val, tol = _pvalue_tol(frame, q, B)
     return trial, val, tol
@@ -521,104 +491,125 @@ def _first_improvement(frame, q, trials, best, btol):
     Returns its index and what ``_score`` gives for it: (index, trial,
     value, accept threshold).  The decision for every trial is the one
     ``_score`` would make alone, but most trials are settled without a call
-    to it: the trials' boundary values, bit for bit those of
-    ``boundary_from_coeffs``, go through the field in one stacked pass
-    where they fit the window, and the row means screen them.  A screened
-    value only rejects a trial that misses the threshold by more than the
-    screen's roundoff; every other trial is scored through ``_score`` in
-    turn, and that value decides.  Trials that leave the window are
-    repaired by ``_score`` as before.
+    to it.  The trials' boundary values, bit for bit those of
+    ``boundary_from_coeffs``, come out of one stacked product; the trials
+    that leave the window are repaired together by one ``_project`` call
+    and their repaired boundaries replace theirs in the stack.  All of them
+    then go through the field in one pass, and the row means screen them.
+    A screened value only rejects a trial that misses the threshold by more
+    than the screen's roundoff; every other trial is decided in turn by
+    ``_pvalue_tol`` on the boundary of its (repaired) coefficients, as
+    ``_score`` would decide it.
     """
     M, n = q.M, len(trials)
+    arr = np.asarray(trials)
     # (dim, trial, node): each trial's (M, dim) boundary is column-contiguous,
     # as the single-trial path gives it to the field, so every sample is
     # computed by the same elementwise code.
     stack = np.empty((frame.dim, n, M), dtype=complex)
-    stacked_boundaries(np.asarray(trials), M, out=stack.transpose(1, 2, 0))
-    live = slice(None)
+    stacked_boundaries(arr, M, out=stack.transpose(1, 2, 0))
+    repaired = {}
     if frame.constraint is not None:
-        live = np.flatnonzero(frame.fits(stack.transpose(1, 2, 0)))
-        stack = stack[:, live]
+        out = np.flatnonzero(~frame.fits(stack.transpose(1, 2, 0)))
+        if out.size:
+            fixed = _project(frame, q, arr[out])
+            sub = np.empty((frame.dim, out.size, M), dtype=complex)
+            stacked_boundaries(fixed, M, out=sub.transpose(1, 2, 0))
+            stack[:, out] = sub
+            repaired = dict(zip(out.tolist(), fixed))
     rejected = np.zeros(n, dtype=bool)
-    if stack.shape[1]:
-        try:
-            vals = frame.u_eff.values(stack.reshape(frame.dim, -1).T)
-        except DomainError:
-            # Some trial's samples are outside the field's domain: score the
-            # trials one by one, so that the error is raised at that trial
-            # and only if the search reaches it.
-            vals = None
-        if vals is not None:
-            vals = vals.reshape(-1, M)
-            if q.clip is not None:
-                vals = np.maximum(vals, q.clip)
-            with np.errstate(invalid="ignore"):
-                # The sums np.mean takes, without its per-call overhead.
-                scale = np.add.reduce(np.abs(vals), axis=1) / M
-                means = np.add.reduce(vals, axis=1) / M
-                tols = np.maximum(_NOISE_ULPS * scale, max(IMPROVE_TOL, btol))
-                # The screen's roundoff: the samples are the ones _score sees
-                # and only the grouping of their sums may differ; two pairwise
-                # sums of M samples differ by at most 2 log2(M) ulps of the
-                # absolute sum, plus an ulp each for the division by M.
-                slack = 2.0 * (math.log2(M) + 1.0) * np.finfo(float).eps * scale
-                rejected[live] = means - (best - tols) > slack
+    try:
+        vals = frame.u_eff.values(stack.reshape(frame.dim, -1).T)
+    except DomainError:
+        # Some trial's samples are outside the field's domain: decide the
+        # trials one by one, so that the error is raised at that trial and
+        # only if the search reaches it.
+        vals = None
+    if vals is not None:
+        vals = vals.reshape(n, M)
+        if q.clip is not None:
+            vals = np.maximum(vals, q.clip)
+        with np.errstate(invalid="ignore"):
+            # The sums np.mean takes, without its per-call overhead.
+            scale = np.add.reduce(np.abs(vals), axis=1) / M
+            means = np.add.reduce(vals, axis=1) / M
+            tols = np.maximum(_NOISE_ULPS * scale, max(IMPROVE_TOL, btol))
+            # The screen's roundoff: the samples are the ones _score sees
+            # and only the grouping of their sums may differ; two pairwise
+            # sums of M samples differ by at most 2 log2(M) ulps of the
+            # absolute sum, plus an ulp each for the division by M.
+            slack = 2.0 * (math.log2(M) + 1.0) * np.finfo(float).eps * scale
+            rejected = means - (best - tols) > slack
     for i in np.flatnonzero(~rejected):
-        trial, val, vtol = _score(frame, q, trials[i])
+        cand = repaired.get(i, trials[i])
+        val, vtol = _pvalue_tol(frame, q, boundary_from_coeffs(cand, M))
         if val < best - max(vtol, btol):
-            return i, trial, val, vtol
+            return i, cand, val, vtol
     return None
 
 
-def _descend(frame, q, b: SearchBudget, coeffs, stage_degree: int, iters: int):
-    """First-improvement descent over rows 1..stage_degree.
+def _move_loop(frame, q, b: SearchBudget, state, cols, n_rows, iters, start,
+               to_coeffs=None):
+    """The sweeps both descents run: first improvement over axis steps.
 
-    Each sweep tries additive axis steps in the four complex directions per
-    coefficient, then multiplicative kicks (1 + delta * zeta**j) per
-    frequency.  The step halves after a sweep with no accepted move.  A
-    trial that leaves the window is repaired by the row-scaling projection
-    (center row untouched) before being scored.  The trials of one row (all
-    its columns) or of one frequency are scored together by
-    ``_first_improvement``.  Returns (coeffs, value, accept threshold of the
-    winning evaluation).
+    ``state`` is the (rows, dim) array the moves perturb and ``start`` the
+    (coeffs, value, threshold) of the disc it stands for.  Each sweep tries
+    the eight steps of ``_steps`` at rows 1..n_rows and the given columns;
+    the trials of one row (every column still to try) are mapped to disc
+    coefficients by ``to_coeffs`` (None: the state is the disc) and decided
+    together by ``_first_improvement``.  A win makes the later columns'
+    trials stale, so they are made again from the winner.  The step shrinks
+    after a sweep with no accepted move.  Returns (coeffs, value, accept
+    threshold of the winning evaluation).
     """
-    best, btol = _pvalue_tol(frame, q, boundary_from_coeffs(coeffs, q.M))
-    if best == float("-inf") or iters <= 0:
-        return coeffs, best, btol
+    coeffs, best, btol = start
+    if best == float("-inf") or iters <= 0 or not cols:
+        return start
     step = b.step_init
     for _ in range(iters):
         improved = False
         deltas = _steps(step)
         n_try = len(deltas)
-        n_rows = min(stage_degree, coeffs.shape[0] - 1)
         for row in range(1, n_rows + 1):
-            # One batch holds the trials of every column still to try, in
-            # order; a win makes the later columns' trials stale, so they
-            # are made again from the winner.
-            col = 0
-            while col < frame.dim:
-                trials = np.repeat(coeffs[None], n_try * (frame.dim - col), axis=0)
-                for k, c in enumerate(range(col, frame.dim)):
-                    trials[k * n_try:(k + 1) * n_try, row, c] += deltas
-                win = _first_improvement(frame, q, trials, best, btol)
+            k = 0
+            while k < len(cols):
+                trials = np.repeat(state[None], n_try * (len(cols) - k), axis=0)
+                for j, c in enumerate(cols[k:]):
+                    trials[j * n_try:(j + 1) * n_try, row, c] += deltas
+                cands = trials if to_coeffs is None else to_coeffs(trials)
+                win = _first_improvement(frame, q, cands, best, btol)
                 if win is None:
                     break
                 i, coeffs, best, btol = win
+                # A repaired winner is the new state of a coefficient
+                # descent; a log-shape descent keeps the trial's log-shape.
+                state = coeffs if to_coeffs is None else trials[i]
                 improved = True
-                col += i // n_try + 1
-        for j in range(1, stage_degree + 1):
-            if coeffs.shape[0] - 1 + j > stage_degree:
-                break
-            trials = [_mul_trial(coeffs, j, delta) for delta in deltas]
-            win = _first_improvement(frame, q, trials, best, btol)
-            if win is not None:
-                _, coeffs, best, btol = win
-                improved = True
+                k += i // n_try + 1
         if not improved:
             step *= b.step_shrink
             if step < 1e-10:
                 break
     return coeffs, best, btol
+
+
+def _descend(frame, q, b: SearchBudget, coeffs, stage_degree: int, iters: int):
+    """First-improvement descent over rows 1..stage_degree.
+
+    The start disc is repaired into the window if it leaves it.  Each sweep
+    tries additive axis steps in the four complex directions per
+    coefficient; the step halves after a sweep with no accepted move.  The
+    trials of one row (all its columns) are scored together by
+    ``_first_improvement``, which repairs those that leave the window in one
+    stacked ``_project`` call (row scaling, center row untouched).  Returns
+    (coeffs, value, accept threshold of the winning evaluation).
+    """
+    start = _score(frame, q, coeffs)
+    coeffs = start[0]
+    n_rows = min(stage_degree, coeffs.shape[0] - 1)
+    return _move_loop(
+        frame, q, b, coeffs, list(range(frame.dim)), n_rows, iters, start
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +656,6 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
     for j in range(Mb - 2, -1, -1):
         warm = kid_coeffs[j + 1].copy()
         warm[0] = ring[j]
-        warm = _project(frame, q, warm)
         cc, cv, ct = _descend(frame, q, cb, warm, cd, cb.descent_iters)
         ov, ot = _pvalue_tol(frame, q, boundary_from_coeffs(kid_coeffs[j], q.M))
         if cv < ov - max(ct, ot):
@@ -701,12 +691,7 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
         for pi in range(b.n_phases):
             c = np.exp(2j * np.pi * pi / b.n_phases)
             h = compose_rh(base, lam, k, c, degree_cap=stage_degree)
-            h_coeffs = h.coeffs
-            B = boundary_from_coeffs(h_coeffs, q.M)
-            if not frame.feasible(B):
-                h_coeffs = _project(frame, q, h_coeffs)
-                B = boundary_from_coeffs(h_coeffs, q.M)
-            hv, ht = _pvalue_tol(frame, q, B)
+            h_coeffs, hv, ht = _score(frame, q, h.coeffs)
             phase_vals.append(hv)
             if hv < best_val - max(ht, IMPROVE_TOL):
                 best_val, best_coeffs = hv, h_coeffs
@@ -748,7 +733,6 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
             rng = _rng(key_base + (si, ridx))
             cands.append(_random_coeffs(rng, center, d, b))
         for cand in cands:
-            cand = _project(frame, q, cand)
             cc, cv, ct = _descend(frame, q, b, cand, d, b.descent_iters)
             if cv < best_v - max(ct, IMPROVE_TOL):
                 best_c, best_v = cc, cv
@@ -850,11 +834,11 @@ def envelope_grid(
 ) -> EnvelopeEstimate:
     """Envelope over a list of points.
 
-    Pass one runs the per-point searches independently (parallel when
-    threads > 1; the random streams are keyed by point index, so the thread
-    count never changes results).  Pass two sweeps the grid once in order,
-    recentering each point's predecessor witness and descending without any
-    randomness; improvements are kept.
+    Pass one runs the per-point searches independently (on at most
+    min(threads, points) worker threads; the random streams are keyed by
+    point index, so the thread count never changes results).  Pass two
+    sweeps the grid once in order, recentering each point's predecessor
+    witness and descending without any randomness; improvements are kept.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
@@ -866,7 +850,7 @@ def envelope_grid(
     n = len(pts)
     results = [None] * n
     if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=min(threads, n)) as ex:
             for i, res in enumerate(ex.map(one, range(n))):
                 results[i] = res
     else:
@@ -883,7 +867,7 @@ def envelope_grid(
             continue
         branch, coeffs = cand
         frame = _Frame(u, space, branch)
-        coeffs = _project(frame, qq, _resize(coeffs, top_degree, frame.dim))
+        coeffs = _resize(coeffs, top_degree, frame.dim)
         cc, cv, ct = _descend(frame, qq, b, coeffs, top_degree, b.descent_iters)
         if cv < values[i] - max(ct, IMPROVE_TOL):
             values[i] = cv
