@@ -266,8 +266,8 @@ def _same_decision(frame, trials, best, btol):
     ("log(0.001 + abs2(z1))", euclidean_space(2)),
     ("re(z1) + abs2(z2)", euclidean_space(2)),
     ("-indicator(ball(0, 0; 0.25))", euclidean_space(1, [0j], [1.0])),
-    ("log(0.001 + abs2(z1))", euclidean_space(2, [0j, 0j], [0.6, 0.6])),
     ("max(re(z1), abs2(z1) - 1)", euclidean_space(1)),
+    ("log(0.001 + abs2(z1))", euclidean_space(2, [0j, 0j], [0.6, 0.6])),
 ])
 def test_stacked_trials_decide_as_one_by_one(text, space):
     # Every batch of a descent move, scored together, picks the same trial
