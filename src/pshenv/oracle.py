@@ -78,22 +78,26 @@ class GridDomain:
 
 
 def _connected(mask: np.ndarray) -> bool:
-    total = int(mask.sum())
-    if total == 0:
+    """Whether the active nodes form one 4-connected set.
+
+    Grows the set reached from the first active node by its four shifted
+    copies, kept inside the mask, until it stops growing.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
         return False
     seen = np.zeros_like(mask)
-    start = np.argwhere(mask)[0]
-    stack = [tuple(start)]
-    seen[tuple(start)] = True
-    n = mask.shape[0]
-    while stack:
-        i, j = stack.pop()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < n and 0 <= b < n and mask[a, b] and not seen[a, b]:
-                seen[a, b] = True
-                stack.append((a, b))
-    return int(seen.sum()) == total
+    seen.flat[np.argmax(mask)] = True
+    while True:
+        grown = seen.copy()
+        grown[1:, :] |= seen[:-1, :]
+        grown[:-1, :] |= seen[1:, :]
+        grown[:, 1:] |= seen[:, :-1]
+        grown[:, :-1] |= seen[:, 1:]
+        grown &= mask
+        if np.array_equal(grown, seen):
+            return np.array_equal(seen, mask)
+        seen = grown
 
 
 def grid_domain(n: int, rect=(-1.0, 1.0, -1.0, 1.0), mask: str = "rect",
@@ -137,25 +141,38 @@ def subharmonic_minorant(u_grid: np.ndarray, domain: GridDomain,
     Sweeps v <- min(u, four-neighbor average) at interior nodes until the
     sup-norm update drops below tol; red/black ordering makes the sweep
     deterministic.  Boundary nodes hold u.  Raises NotConverged (with the
-    last iterate attached) when max_iters is hit.
+    last iterate attached) when max_iters is hit, and ValueError unless tol
+    is finite and > 0 and max_iters >= 1.
     """
     if u_grid.shape != domain.mask.shape:
         raise ValueError("obstacle grid shape does not match the domain")
-    interior = domain.interior()
-    iy, ix = np.nonzero(interior)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"relaxation tol must be finite and > 0, got {tol!r}")
+    if max_iters < 1:
+        raise ValueError(f"relaxation max_iters must be >= 1, got {max_iters!r}")
+    n = domain.n
+    iy, ix = np.nonzero(domain.interior())
     red = ((iy + ix) % 2 == 0)
-    groups = [(iy[red], ix[red]), (iy[~red], ix[~red])]
-    v = np.array(u_grid, dtype=float)
+    # Per colour: flat node indices k = iy*n + ix, the flat indices of the
+    # up/down/left/right neighbours, and the obstacle values at the nodes.
+    groups = []
+    for sel in (red, ~red):
+        k = iy[sel] * n + ix[sel]
+        groups.append((k, k - n, k + n, k - 1, k + 1, u_grid[iy[sel], ix[sel]]))
+    v = np.array(u_grid, dtype=float, order="C")
     v[~domain.mask] = np.nan
+    vf = v.reshape(-1)  # a view: writes through vf update v
     for it in range(1, max_iters + 1):
         delta = 0.0
-        for gy, gx in groups:
-            avg = 0.25 * (v[gy - 1, gx] + v[gy + 1, gx]
-                          + v[gy, gx - 1] + v[gy, gx + 1])
-            new = np.minimum(u_grid[gy, gx], avg)
-            step = np.max(np.abs(new - v[gy, gx])) if gy.size else 0.0
-            delta = max(delta, float(step))
-            v[gy, gx] = new
+        for k, up, dn, lf, rt, uk in groups:
+            avg = 0.25 * (vf[up] + vf[dn] + vf[lf] + vf[rt])
+            new = np.minimum(uk, avg)
+            # A node that stays infinite gives inf - inf = NaN, the only
+            # invalid subtraction possible here; fmax skips it as a zero step.
+            with np.errstate(invalid="ignore"):
+                change = np.abs(new - vf[k])
+            delta = max(delta, float(np.fmax.reduce(change, initial=0.0)))
+            vf[k] = new
         if delta < tol:
             return v
     raise NotConverged(

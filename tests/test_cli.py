@@ -246,3 +246,26 @@ mask = disc
     lines = (out / "oracle.csv").read_text().splitlines()
     assert lines[0] == "x_re,y_im,u,minorant"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("line, setting", [
+    ("tol = nan", "tol"),
+    ("tol = -1", "tol"),
+    ("max_iters = 0", "max_iters"),
+])
+def test_bad_oracle_relaxation_setting_is_an_input_error(tmp_path, capsys,
+                                                         line, setting):
+    cfg = write(tmp_path / "oracle.cfg", f"""\
+[run]
+mode = oracle
+
+[oracle]
+expr = abs2(z1)
+n = 33
+mask = disc
+{line}
+""")
+    assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert setting in err and "relaxation" in err

@@ -4,12 +4,16 @@ import pytest
 from pshenv.errors import NotConverged
 from pshenv.functional import parse_field
 from pshenv.oracle import (
+    GridDomain,
     field_on_grid,
     grid_domain,
     interp_bilinear,
     radial_envelope,
     subharmonic_minorant,
 )
+
+# NaN arithmetic in the relaxation (inf - inf, 0 * inf) fails a test here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def closed_form_dip(r):
@@ -86,6 +90,142 @@ def test_minorant_not_converged_attaches_iterate():
         subharmonic_minorant(u, dom, tol=1e-10, max_iters=3)
     assert info.value.iterate is not None
     assert info.value.iterate.shape == u.shape
+
+
+def reference_minorant(u_grid, domain, tol=1e-10, max_iters=10 ** 6):
+    # The same red/black relaxation on 2-D fancy indices rebuilt every
+    # sweep: the flat-index routine must reproduce its iterates bit for bit.
+    interior = domain.interior()
+    iy, ix = np.nonzero(interior)
+    red = ((iy + ix) % 2 == 0)
+    groups = [(iy[red], ix[red]), (iy[~red], ix[~red])]
+    v = np.array(u_grid, dtype=float)
+    v[~domain.mask] = np.nan
+    for it in range(1, max_iters + 1):
+        delta = 0.0
+        for gy, gx in groups:
+            avg = 0.25 * (v[gy - 1, gx] + v[gy + 1, gx]
+                          + v[gy, gx - 1] + v[gy, gx + 1])
+            new = np.minimum(u_grid[gy, gx], avg)
+            step = np.max(np.abs(new - v[gy, gx])) if gy.size else 0.0
+            delta = max(delta, float(step))
+            v[gy, gx] = new
+        if delta < tol:
+            return v
+    raise NotConverged("reference did not converge", iterate=v)
+
+
+REFERENCE_OBSTACLES = (
+    "-indicator(ball(0, 0; 0.25))",
+    "re(z1)",
+    "abs2(z1)",
+    "min(4 * (abs(z1) - 0.3), 1)",
+)
+
+
+@pytest.mark.parametrize("expr", REFERENCE_OBSTACLES)
+@pytest.mark.parametrize("mask", ["rect", "disc", "annulus"])
+def test_relaxation_matches_reference_bit_for_bit(mask, expr):
+    dom = grid_domain(33, mask=mask, inner=0.2 if mask == "annulus" else 0.0)
+    u = field_on_grid(parse_field(expr), dom)
+    got = subharmonic_minorant(u, dom)
+    assert np.array_equal(got, reference_minorant(u, dom), equal_nan=True)
+
+
+@pytest.mark.parametrize("max_iters", [3, 50])
+def test_not_converged_iterate_matches_reference(max_iters):
+    dom = grid_domain(65, mask="disc")
+    u = field_on_grid(parse_field("-indicator(ball(0, 0; 0.25))"), dom)
+    with pytest.raises(NotConverged) as got:
+        subharmonic_minorant(u, dom, max_iters=max_iters)
+    with pytest.raises(NotConverged) as want:
+        reference_minorant(u, dom, max_iters=max_iters)
+    assert np.array_equal(got.value.iterate, want.value.iterate, equal_nan=True)
+
+
+def test_minus_infinity_obstacle_keeps_the_stop_test_honest():
+    # log|z|^2 is -inf at the centre node.  A node that stays -inf must
+    # count as a zero step, not hide the rest of its colour behind a NaN
+    # (and inf - inf must not warn: pytestmark makes that an error).
+    dom = grid_domain(65, mask="disc")
+    u = field_on_grid(parse_field("log(abs2(z1))"), dom)
+    assert np.isneginf(u).sum() == 1
+    v = subharmonic_minorant(u, dom)
+    iy, ix = np.nonzero(dom.interior())
+    avg = 0.25 * (v[iy - 1, ix] + v[iy + 1, ix] + v[iy, ix - 1] + v[iy, ix + 1])
+    assert np.all(v[iy, ix] <= avg)
+    assert np.all(v[iy, ix] <= u[iy, ix])
+
+
+@pytest.mark.parametrize("setting, kwargs", [
+    ("tol", {"tol": float("nan")}),
+    ("tol", {"tol": float("inf")}),
+    ("tol", {"tol": -1.0}),
+    ("tol", {"tol": 0.0}),
+    ("max_iters", {"max_iters": 0}),
+    ("max_iters", {"max_iters": -5}),
+])
+def test_bad_relaxation_settings_are_rejected(setting, kwargs):
+    dom = grid_domain(33, mask="disc")
+    u = field_on_grid(parse_field("abs2(z1)"), dom)
+    with pytest.raises(ValueError, match=setting):
+        subharmonic_minorant(u, dom, **kwargs)
+
+
+def two_blocks(shift):
+    # a 10x10 block in the top-left corner and a second one below it,
+    # moved right by `shift` columns
+    mask = np.zeros((33, 33), dtype=bool)
+    mask[0:10, 0:10] = True
+    mask[10:20, shift:shift + 10] = True
+    x = np.linspace(-1.0, 1.0, 33)
+    return x, mask
+
+
+def test_blocks_touching_at_a_corner_are_not_connected():
+    x, mask = two_blocks(10)
+    with pytest.raises(ValueError, match="4-connected"):
+        GridDomain(x, x, x[1] - x[0], mask)
+
+
+def test_blocks_sharing_an_edge_are_connected():
+    x, mask = two_blocks(5)
+    dom = GridDomain(x, x, x[1] - x[0], mask)
+    assert dom.mask.sum() == 200
+
+
+def bfs_connected(mask):
+    total = int(mask.sum())
+    if total == 0:
+        return False
+    seen = np.zeros_like(mask)
+    stack = [tuple(np.argwhere(mask)[0])]
+    seen[stack[0]] = True
+    n = mask.shape[0]
+    while stack:
+        i, j = stack.pop()
+        for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if 0 <= a < n and 0 <= b < n and mask[a, b] and not seen[a, b]:
+                seen[a, b] = True
+                stack.append((a, b))
+    return int(seen.sum()) == total
+
+
+def test_connectivity_check_agrees_with_breadth_first_search():
+    rng = np.random.default_rng(12)
+    x = np.linspace(-1.0, 1.0, 33)
+    answers = set()
+    for density in (0.0, 0.55, 0.6, 0.65, 0.7, 0.95, 1.0):
+        for _ in range(6):
+            mask = rng.random((33, 33)) < density
+            want = bfs_connected(mask)
+            answers.add(want)
+            if want:
+                GridDomain(x, x, x[1] - x[0], mask)
+            else:
+                with pytest.raises(ValueError, match="4-connected"):
+                    GridDomain(x, x, x[1] - x[0], mask)
+    assert answers == {True, False}
 
 
 def test_interp_bilinear_errors():
