@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,6 +36,7 @@ from .hull import (
     CompactSet,
     HullCertificate,
     bundled_psh_corpus,
+    exceptional_nodes,
     hull_membership,
     load_certificate,
     membership_field,
@@ -50,21 +52,11 @@ from .space import (
     euclidean_space,
 )
 
-_BUDGET_KEYS = {
-    "seed",
-    "degrees",
-    "restarts",
-    "descent_iters",
-    "rh_rounds",
-    "k_schedule",
-    "n_phases",
-    "step_init",
-    "step_shrink",
-    "init_scale",
-    "degree_decay",
-    "boundary_points",
-    "child_degree",
-    "laurent_m",
+# [budget] keys: one per SearchBudget field, under the field's own name
+# except degree_schedule, which configs call degrees.
+_BUDGET_FIELDS = {
+    ("degrees" if f.name == "degree_schedule" else f.name): f
+    for f in dataclasses.fields(SearchBudget)
 }
 
 _SECTION_KEYS = {
@@ -72,7 +64,7 @@ _SECTION_KEYS = {
     "space": {"kind", "dim", "center", "radius"},
     "field": {"expr", "truncate"},
     "grid": {"kind", "points", "coord", "re", "im", "r", "angle", "base"},
-    "budget": _BUDGET_KEYS,
+    "budget": set(_BUDGET_FIELDS),
     "quadrature": {"m", "clip"},
     "hull": {
         "balls",
@@ -306,25 +298,13 @@ def _parse_budget(cp) -> SearchBudget:
     sec = cp["budget"]
     if "seed" not in sec:
         raise ConfigError("missing required key 'seed' in section [budget]")
-    kw = {"seed": _int_of(sec["seed"], "seed")}
-    if "degrees" in sec:
-        kw["degree_schedule"] = _int_list(sec["degrees"], "degrees")
-    if "k_schedule" in sec:
-        kw["k_schedule"] = _int_list(sec["k_schedule"], "k_schedule")
-    for key in (
-        "restarts",
-        "descent_iters",
-        "rh_rounds",
-        "n_phases",
-        "boundary_points",
-        "child_degree",
-        "laurent_m",
-    ):
-        if key in sec:
-            kw[key] = _int_of(sec[key], key)
-    for key in ("step_init", "step_shrink", "init_scale", "degree_decay"):
-        if key in sec:
-            kw[key] = _float_of(sec[key], key)
+    # A field is parsed as its default is typed: int, float or int list.
+    parse = {int: _int_of, float: _float_of, tuple: _int_list}
+    kw = {
+        f.name: parse[type(f.default)](sec[key], key)
+        for key, f in _BUDGET_FIELDS.items()
+        if key in sec
+    }
     try:
         return SearchBudget(**kw)
     except ValueError as exc:
@@ -642,7 +622,9 @@ def _run_oracle(cp, args) -> int:
             z = complex(re, im)
             ov = interp_bilinear(domain, v, z)
             dv = entry["value"] - ov
-            worst = max(worst, abs(dv))
+            # np.maximum keeps a NaN difference (both values -inf, say),
+            # which max() would drop.
+            worst = float(np.maximum(worst, abs(dv)))
             rows.append(
                 ",".join(
                     [_fmt(re), _fmt(im), _fmt(entry["value"]), _fmt(ov), _fmt(dv)]
@@ -668,9 +650,9 @@ def _run_verify(cp, args) -> int:
     tol = _float_of(sec.get("tol", "1e-6"), "tol")
     u = membership_field(K, cert.U_radius)
     value = poisson_functional(u, cert.disc, QuadratureSpec(M=cert.M))
-    nodes = cert.disc.boundary_values(cert.M)
-    bad = int(np.count_nonzero(K.distance(nodes) >= cert.U_radius))
-    exceptional = 2.0 * np.pi * bad / cert.M
+    _, exceptional = exceptional_nodes(
+        K, cert.disc.boundary_values(cert.M), cert.U_radius
+    )
     report = verify_certificate(cert, K, bundled_psh_corpus(K.ambient_dim), tol=tol)
     report["value_match"] = value == cert.value
     report["stored_value"] = cert.value

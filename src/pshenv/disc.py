@@ -33,7 +33,6 @@ __all__ = [
     "fit_laurent",
     "compose_rh",
     "choose_phase",
-    "interior_fit_radius",
     "disc_to_json",
     "disc_from_json",
     "unit_roots",
@@ -332,26 +331,6 @@ def choose_phase(f: AnalyticDisc, lam: LaurentFamily, k: int, u, arcs,
         if val < best_val:
             best_c, best_val = c, float(val)
     return best_c, best_val
-
-
-def interior_fit_radius(lam: LaurentFamily, eps: float, resid: float = 0.0,
-                        radii=(0.90, 0.95, 0.99), t_grid: int = 128,
-                        z_grid: int = 16):
-    """Smallest grid radius r' with sup |lam(r zeta, z) - lam(zeta, z)| within eps/2.
-
-    The sup runs over a t x z sample grid; resid is added to account for the
-    fit error at the boundary samples.  Returns None when no grid radius
-    qualifies.  Diagnostic only (interior-proximity checks in tests).
-    """
-    zeta = unit_roots(t_grid)
-    z = unit_roots(z_grid)
-    Z, T = np.meshgrid(z, zeta)
-    ref = lam.eval(T, Z)
-    for r in sorted(radii):
-        dev = float(np.max(np.abs(lam.eval(r * T, Z) - ref)))
-        if dev + resid <= eps / 2:
-            return r
-    return None
 
 
 def disc_to_json(f: AnalyticDisc) -> dict:

@@ -15,7 +15,6 @@ be evaluated in any thread order without changing a single bit of output.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -39,7 +38,12 @@ from .errors import (
     InterpolationOutOfRange,
     PointOutsideWindow,
 )
-from .functional import QuadratureSpec, ScalarField, pushforward_field
+from .functional import (
+    QuadratureSpec,
+    ScalarField,
+    boundary_means,
+    pushforward_field,
+)
 from .space import SpaceModel, lift_point, singular_locus_hint
 
 # A candidate replaces the incumbent only when it wins by this much; keeps
@@ -156,46 +160,11 @@ class _Frame:
         amb = self.branch.eval(B[..., 0]) if self.branch is not None else B
         return np.all(self.constraint.satisfied(amb, slack=_FEAS_SLACK), axis=-1)
 
-    def feasible(self, B) -> bool:
-        return bool(self.fits(B))
-
-
-def _pvalue_from_boundary(frame: _Frame, q: QuadratureSpec, B) -> float:
-    vals = frame.u_eff.values(B)
-    if q.clip is not None:
-        vals = np.maximum(vals, q.clip)
-    if np.isneginf(vals).any():
-        return float("-inf")
-    return float(np.mean(vals))
-
-
-def _pvalue(frame: _Frame, q: QuadratureSpec, coeffs) -> float:
-    # Same float path as poisson_functional on the finished witness, so the
-    # stored value is recomputable bit-for-bit.
-    return _pvalue_from_boundary(frame, q, boundary_from_coeffs(coeffs, q.M))
-
 
 # Roundoff in the sample mean grows with the magnitude of the samples; on a
 # flat objective the search would otherwise ratchet downward on pure noise
 # from large-coefficient trials (the mean cancels, its error does not).
 _NOISE_ULPS = 256.0 * np.finfo(float).eps
-
-
-def _pvalue_tol(frame: _Frame, q: QuadratureSpec, B):
-    """Sample mean plus the accept threshold its roundoff scale justifies.
-
-    The value follows the exact float path of ``_pvalue_from_boundary``; the
-    threshold is IMPROVE_TOL inflated to a few hundred ulps of the mean
-    absolute sample, which is the resolution below which two evaluations
-    cannot be told apart.
-    """
-    vals = frame.u_eff.values(B)
-    if q.clip is not None:
-        vals = np.maximum(vals, q.clip)
-    if np.isneginf(vals).any():
-        return float("-inf"), IMPROVE_TOL
-    tol = max(IMPROVE_TOL, _NOISE_ULPS * float(np.mean(np.abs(vals))))
-    return float(np.mean(vals)), tol
 
 
 # Trial scales for the window repair, largest first.  A fixed grid instead
@@ -233,6 +202,52 @@ def _project(frame: _Frame, q: QuadratureSpec, stack):
     out[none] = 0
     out[none, 0] = stack[none, 0]
     return out
+
+
+def _score_stack(frame, q, trials):
+    """Repair the trials that leave the window, then evaluate them all.
+
+    trials is a (n, deg+1, dim) stack, or a sequence of n such discs.  The
+    boundaries come out of one stacked product, bit for bit those of
+    ``boundary_from_coeffs``; the trials that leave the window are repaired
+    together by one ``_project`` call, and all n boundaries go through the
+    field in one pass.  Returns (coeffs, values, thresholds): coeffs[i] is
+    trials[i] itself or its repair, values[i] is ``poisson_functional`` of
+    that disc bit for bit, and thresholds[i] is the margin by which a value
+    must beat an incumbent: IMPROVE_TOL inflated to a few hundred ulps of
+    the mean absolute sample, the resolution below which two evaluations
+    cannot be told apart (IMPROVE_TOL for a value of -inf).
+    """
+    M, n = q.M, len(trials)
+    arr = np.asarray(trials)
+    # (dim, trial, node): each trial's (M, dim) boundary is column-contiguous,
+    # as boundary_from_coeffs gives it to the field, so every sample is
+    # computed by the same elementwise code.
+    stack = np.empty((frame.dim, n, M), dtype=complex)
+    stacked_boundaries(arr, M, out=stack.transpose(1, 2, 0))
+    coeffs = list(trials)
+    if frame.constraint is not None:
+        out = np.flatnonzero(~frame.fits(stack.transpose(1, 2, 0)))
+        if out.size:
+            fixed = _project(frame, q, arr[out])
+            sub = np.empty((frame.dim, out.size, M), dtype=complex)
+            stacked_boundaries(fixed, M, out=sub.transpose(1, 2, 0))
+            stack[:, out] = sub
+            for i, c in zip(out.tolist(), fixed):
+                coeffs[i] = c
+    samples = frame.u_eff.values(stack.reshape(frame.dim, -1).T)
+    values, samples = boundary_means(samples.reshape(n, M), q.clip)
+    scale = np.add.reduce(np.abs(samples), axis=1) / M
+    tols = np.maximum(_NOISE_ULPS * scale, IMPROVE_TOL)
+    tols[values == -np.inf] = IMPROVE_TOL
+    return coeffs, values, tols
+
+
+def _score(frame, q, trial):
+    """``_score_stack`` on a stack of one: (trial or its repair, value,
+    accept threshold)."""
+    coeffs, values, tols = _score_stack(frame, q, [trial])
+    return coeffs[0], float(values[0]), float(tols[0])
 
 
 def _rng(key: tuple) -> np.random.Generator:
@@ -396,7 +411,8 @@ def _arc_cheb_seed(frame, center, degree: int, alpha: float):
 def _best_arc_seed(frame, q, center, degree: int, incumbent: float):
     """Scan the arc-Chebyshev seeds over gap widths; best (coeffs, value).
 
-    None unless the winner beats the incumbent by its own noise threshold,
+    Each scan scores its widths as one stack; the winner is the least value,
+    ties going to the smaller width.  None unless the winner beats the incumbent by its own noise threshold,
     so callers spend descent time only on seeds that already lead.
     """
     if frame.constraint is not None or degree < 2:
@@ -404,13 +420,11 @@ def _best_arc_seed(frame, q, center, degree: int, incumbent: float):
     coarse = [0.2 + 0.1 * i for i in range(11)]
 
     def scan(alphas):
-        out = []
-        for a in alphas:
-            c = _arc_cheb_seed(frame, center, degree, a)
-            if c is not None:
-                c, v, t = _score(frame, q, c)
-                out.append((v, a, c, t))
-        return out
+        seeds = [_arc_cheb_seed(frame, center, degree, a) for a in alphas]
+        if not seeds or seeds[0] is None:
+            return []
+        coeffs, values, tols = _score_stack(frame, q, seeds)
+        return list(zip(values.tolist(), alphas, coeffs, tols.tolist()))
 
     scored = scan(coarse)
     if not scored:
@@ -428,7 +442,8 @@ def _best_arc_seed(frame, q, center, degree: int, incumbent: float):
 def _best_dip_seed(frame, q, center, degree: int, incumbent: float):
     """Scan the dip-seed family and return its best (P, value), or None.
 
-    One evaluation per parameter; when the arc measure is the free knob a
+    Each scan scores its parameter list as one stack, and the first least
+    value in list order wins; when the arc measure is the free knob a
     second, finer scan brackets the coarse winner (node-crossing events make
     the value a step function of mu, so descent cannot tune it).  As with
     the arc seeds, a winner that does not beat the incumbent by its noise
@@ -439,12 +454,14 @@ def _best_dip_seed(frame, q, center, degree: int, incumbent: float):
         return None
 
     def score(plist):
-        out = []
-        for mu, lhi in plist:
-            P = _dip_log(frame, center, degree, mu, lhi)
-            _, v, t = _score(frame, q, _disc_from_log(frame, center, P[None])[0])
-            out.append((v, mu, lhi, P, t))
-        return out
+        Ps = [_dip_log(frame, center, degree, mu, lhi) for mu, lhi in plist]
+        _, values, tols = _score_stack(
+            frame, q, _disc_from_log(frame, center, np.stack(Ps))
+        )
+        return [
+            (v, mu, lhi, P, t)
+            for v, (mu, lhi), P, t in zip(values.tolist(), plist, Ps, tols.tolist())
+        ]
 
     scored = score(params)
     best = min(scored, key=lambda s: s[0])
@@ -463,18 +480,6 @@ def _best_dip_seed(frame, q, center, degree: int, incumbent: float):
     return best[3], best[0]
 
 
-def _score(frame, q, trial):
-    """Project a trial back into the window if needed, then evaluate it.
-
-    Returns (trial, value, accept threshold)."""
-    B = boundary_from_coeffs(trial, q.M)
-    if not frame.feasible(B):
-        trial = _project(frame, q, trial[None])[0]
-        B = boundary_from_coeffs(trial, q.M)
-    val, tol = _pvalue_tol(frame, q, B)
-    return trial, val, tol
-
-
 def _steps(step):
     """The eight trial steps of one move, in the order they are tried.
 
@@ -489,63 +494,27 @@ def _first_improvement(frame, q, trials, best, btol):
     """The first trial, in order, that beats ``best``; else None.
 
     Returns its index and what ``_score`` gives for it: (index, trial,
-    value, accept threshold).  The decision for every trial is the one
-    ``_score`` would make alone, but most trials are settled without a call
-    to it.  The trials' boundary values, bit for bit those of
-    ``boundary_from_coeffs``, come out of one stacked product; the trials
-    that leave the window are repaired together by one ``_project`` call
-    and their repaired boundaries replace theirs in the stack.  All of them
-    then go through the field in one pass, and the row means screen them.
-    A screened value only rejects a trial that misses the threshold by more
-    than the screen's roundoff; every other trial is decided in turn by
-    ``_pvalue_tol`` on the boundary of its (repaired) coefficients, as
-    ``_score`` would decide it.
+    value, accept threshold).  The trials are scored together by
+    ``_score_stack``, whose values are the ones ``_score`` gives each trial
+    alone, so the first trial whose value is below best - max(threshold,
+    btol) wins, as it would scored in turn.
     """
-    M, n = q.M, len(trials)
-    arr = np.asarray(trials)
-    # (dim, trial, node): each trial's (M, dim) boundary is column-contiguous,
-    # as the single-trial path gives it to the field, so every sample is
-    # computed by the same elementwise code.
-    stack = np.empty((frame.dim, n, M), dtype=complex)
-    stacked_boundaries(arr, M, out=stack.transpose(1, 2, 0))
-    repaired = {}
-    if frame.constraint is not None:
-        out = np.flatnonzero(~frame.fits(stack.transpose(1, 2, 0)))
-        if out.size:
-            fixed = _project(frame, q, arr[out])
-            sub = np.empty((frame.dim, out.size, M), dtype=complex)
-            stacked_boundaries(fixed, M, out=sub.transpose(1, 2, 0))
-            stack[:, out] = sub
-            repaired = dict(zip(out.tolist(), fixed))
-    rejected = np.zeros(n, dtype=bool)
     try:
-        vals = frame.u_eff.values(stack.reshape(frame.dim, -1).T)
+        coeffs, values, tols = _score_stack(frame, q, trials)
     except DomainError:
         # Some trial's samples are outside the field's domain: decide the
         # trials one by one, so that the error is raised at that trial and
         # only if the search reaches it.
-        vals = None
-    if vals is not None:
-        vals = vals.reshape(n, M)
-        if q.clip is not None:
-            vals = np.maximum(vals, q.clip)
-        with np.errstate(invalid="ignore"):
-            # The sums np.mean takes, without its per-call overhead.
-            scale = np.add.reduce(np.abs(vals), axis=1) / M
-            means = np.add.reduce(vals, axis=1) / M
-            tols = np.maximum(_NOISE_ULPS * scale, max(IMPROVE_TOL, btol))
-            # The screen's roundoff: the samples are the ones _score sees
-            # and only the grouping of their sums may differ; two pairwise
-            # sums of M samples differ by at most 2 log2(M) ulps of the
-            # absolute sum, plus an ulp each for the division by M.
-            slack = 2.0 * (math.log2(M) + 1.0) * np.finfo(float).eps * scale
-            rejected = means - (best - tols) > slack
-    for i in np.flatnonzero(~rejected):
-        cand = repaired.get(i, trials[i])
-        val, vtol = _pvalue_tol(frame, q, boundary_from_coeffs(cand, M))
-        if val < best - max(vtol, btol):
-            return i, cand, val, vtol
-    return None
+        for i, trial in enumerate(trials):
+            cand, val, vtol = _score(frame, q, trial)
+            if val < best - max(vtol, btol):
+                return i, cand, val, vtol
+        return None
+    wins = np.flatnonzero(values < best - np.maximum(tols, btol))
+    if not wins.size:
+        return None
+    i = int(wins[0])
+    return i, coeffs[i], float(values[i]), float(tols[i])
 
 
 def _move_loop(frame, q, b: SearchBudget, state, cols, n_rows, iters, start,
@@ -653,12 +622,14 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
         )
         prev = _resize(kc, cd, frame.dim)
         kid_coeffs[j] = prev
+    # The backward sweep compares each warm descent with the forward child
+    # it would replace, so the forward children are scored up front.
+    _, fwd_vals, fwd_tols = _score_stack(frame, q, kid_coeffs[:-1])
     for j in range(Mb - 2, -1, -1):
         warm = kid_coeffs[j + 1].copy()
         warm[0] = ring[j]
         cc, cv, ct = _descend(frame, q, cb, warm, cd, cb.descent_iters)
-        ov, ot = _pvalue_tol(frame, q, boundary_from_coeffs(kid_coeffs[j], q.M))
-        if cv < ov - max(ct, ot):
+        if cv < fwd_vals[j] - max(ct, fwd_tols[j]):
             kid_coeffs[j] = cc
     kids = [AnalyticDisc(kc) for kc in kid_coeffs]
     n_terms = max(1, max(k.degree for k in kids))
@@ -687,20 +658,26 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
     for k in usable:
         if k * n_terms - b.laurent_m + deg_a > stage_degree:
             continue
-        phase_vals = []
-        for pi in range(b.n_phases):
-            c = np.exp(2j * np.pi * pi / b.n_phases)
-            h = compose_rh(base, lam, k, c, degree_cap=stage_degree)
-            h_coeffs, hv, ht = _score(frame, q, h.coeffs)
-            phase_vals.append(hv)
+        phases = [
+            compose_rh(base, lam, k, np.exp(2j * np.pi * pi / b.n_phases),
+                       degree_cap=stage_degree).coeffs
+            for pi in range(b.n_phases)
+        ]
+        # The disc trims zero top rows, so phases may differ in degree; each
+        # degree is scored as one stack.
+        scored = [None] * len(phases)
+        for shape in {h.shape for h in phases}:
+            idx = [i for i, h in enumerate(phases) if h.shape == shape]
+            stacked = _score_stack(frame, q, [phases[i] for i in idx])
+            for i, hit in zip(idx, zip(*stacked)):
+                scored[i] = hit
+        for pi, (h_coeffs, hv, ht) in enumerate(scored):
             if hv < best_val - max(ht, IMPROVE_TOL):
-                best_val, best_coeffs = hv, h_coeffs
+                best_val, best_coeffs = float(hv), h_coeffs
                 best_k, best_pi = k, pi
-                best_mean = None  # filled once the k sweep finishes
-        if phase_vals:
-            swept.append((k, float(np.mean(phase_vals))))
-            if best_k == k:
-                best_mean = swept[-1][1]
+        swept.append((k, float(np.mean([hv for _, hv, _ in scored]))))
+        if best_k == k:
+            best_mean = swept[-1][1]
     info["k_swept"] = [k for k, _ in swept]
     if best_coeffs is None:
         return coeffs, val, info
@@ -720,8 +697,7 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
 
 def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
     center = np.asarray(center, dtype=complex).reshape(frame.dim)
-    best_c = center[None, :].copy()
-    best_v = _pvalue(frame, q, best_c)
+    best_c, best_v, _ = _score(frame, q, center[None, :].copy())
     rounds = [best_v]
     stages, rh_log = [], []
     seq = 0
@@ -1008,7 +984,7 @@ def check_submean(
             else:
                 vc = float(terp([center])[0])
                 boundary = terp(list(ring))
-        avg = float(np.mean(boundary))
+        avg = float(boundary_means(np.asarray(boundary)[None])[0][0])
         if vc > avg + tol:
             reports.append(
                 {

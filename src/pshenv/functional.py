@@ -29,7 +29,8 @@ __all__ = [
     "Neg", "Add", "Sub", "Mul", "Div", "Min", "Max", "BallIndicator",
     "BoxIndicator", "DistanceIndicator", "BranchCompose", "ScalarField",
     "pushforward_field", "parse_field", "eval_field", "QuadratureSpec",
-    "poisson_functional", "arc_functional", "decreasing_approximation",
+    "boundary_means", "poisson_functional", "arc_functional",
+    "decreasing_approximation",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -303,7 +304,6 @@ class ScalarField:
     """Real-valued field (possibly -inf) over ambient points."""
 
     expr: FieldNode
-    lower_bound: float | None = None
 
     def __post_init__(self):
         if not self.expr.is_real:
@@ -320,7 +320,7 @@ class ScalarField:
 
 def pushforward_field(u: ScalarField, branch: BranchMap) -> ScalarField:
     """The field t -> u(branch(t)) on the branch parameter line."""
-    return ScalarField(BranchCompose(branch, u.expr), u.lower_bound)
+    return ScalarField(BranchCompose(branch, u.expr))
 
 
 def eval_field(u: ScalarField, p) -> float:
@@ -333,7 +333,7 @@ def decreasing_approximation(u: ScalarField, k: float) -> ScalarField:
     """Truncation max(u, -k); decreases to u pointwise as k grows."""
     if k < 0:
         raise ValueError("truncation level k must be >= 0")
-    return ScalarField(Max((u.expr, Const(-float(k)))), lower_bound=-float(k))
+    return ScalarField(Max((u.expr, Const(-float(k)))))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +507,9 @@ class _Parser:
         return BoxIndicator(tuple(bounds))
 
 
-def parse_field(text: str, lower_bound: float | None = None) -> ScalarField:
+def parse_field(text: str) -> ScalarField:
     """Parse the documented expression grammar into a ScalarField."""
-    return ScalarField(_Parser(text).parse(), lower_bound)
+    return ScalarField(_Parser(text).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -527,23 +527,37 @@ class QuadratureSpec:
             raise ValueError("quadrature M must be a power of two >= 16")
 
 
-def _node_values(u: ScalarField, f, q: QuadratureSpec) -> np.ndarray:
-    vals = u.values(f.boundary_values(q.M))
-    if q.clip is not None:
-        vals = np.maximum(vals, q.clip)
-    return vals
+def boundary_means(samples, clip: float | None = None):
+    """Boundary averages of a stack of discs from their field samples.
+
+    samples has shape (n, M): row i holds the field at the M boundary nodes
+    of disc i.  Samples are raised to clip when one is set, and a row that
+    holds -inf averages to -inf.  Each row is reduced on its own, so a disc
+    gets the same bits in a stack of one as in any stack.  Returns (means,
+    clipped samples).
+    """
+    if clip is not None:
+        samples = np.maximum(samples, clip)
+    with np.errstate(invalid="ignore"):
+        means = np.add.reduce(samples, axis=1) / samples.shape[1]
+    # -inf plus anything finite is -inf, so a row holding -inf has summed
+    # to -inf already, or to NaN if +inf or NaN is in it too.
+    nan = np.isnan(means)
+    if nan.any():
+        means[nan] = np.where(np.isneginf(samples[nan]).any(axis=1), -np.inf, np.nan)
+    return means, samples
 
 
 def poisson_functional(u: ScalarField, f, q: QuadratureSpec) -> float:
     """Boundary average of u along the disc (harmonic extension at 0).
 
     Exact for pluriharmonic integrands once M exceeds the composed degree;
-    returns -inf when any node value is -inf and no clip is set.
+    returns -inf when any node value is -inf and no clip is set.  The value
+    is ``boundary_means`` of the disc as a stack of one, which is how the
+    envelope search scores its trials.
     """
-    vals = _node_values(u, f, q)
-    if np.isneginf(vals).any():
-        return float("-inf")
-    return float(np.mean(vals))
+    means, _ = boundary_means(u.values(f.boundary_values(q.M))[None], q.clip)
+    return float(means[0])
 
 
 def arc_functional(u: ScalarField, f, q: QuadratureSpec, arc) -> float:
@@ -564,7 +578,9 @@ def arc_functional(u: ScalarField, f, q: QuadratureSpec, arc) -> float:
     w[np.abs(t - t0) <= eps] += 0.5
     w[np.abs(t - t1) <= eps] += 0.5
     w[np.abs(t + TWO_PI - t1) <= eps] += 0.5
-    vals = _node_values(u, f, q)
+    vals = u.values(f.boundary_values(M))
+    if q.clip is not None:
+        vals = np.maximum(vals, q.clip)
     active = w > 0
     if np.isneginf(vals[active]).any():
         return float("-inf")

@@ -24,6 +24,7 @@ from .functional import (
     Neg,
     QuadratureSpec,
     ScalarField,
+    boundary_means,
     eval_field,
     parse_field,
 )
@@ -171,7 +172,19 @@ class NotFound:
 
 def membership_field(K: CompactSet, U_radius: float) -> ScalarField:
     """-1 on the open neighborhood {dist(.,K) < U_radius}, 0 elsewhere."""
-    return ScalarField(Neg(DistanceIndicator(K.distance, float(U_radius))), -1.0)
+    return ScalarField(Neg(DistanceIndicator(K.distance, float(U_radius))))
+
+
+def exceptional_nodes(K: CompactSet, nodes, U_radius: float):
+    """The boundary nodes of a disc that U = {dist(., K) < U_radius} misses.
+
+    nodes holds the disc's values at its M equispaced boundary nodes, shape
+    (M, N).  Returns (mask, measure): which nodes lie at distance >=
+    U_radius from K, and the exceptional measure 2*pi * (their number) / M
+    that a certificate records.
+    """
+    bad = K.distance(nodes) >= U_radius
+    return bad, TWO_PI * int(np.count_nonzero(bad)) / len(nodes)
 
 
 def default_window(K: CompactSet) -> DomainConstraint:
@@ -226,9 +239,7 @@ def hull_membership(
     space = SpaceModel("euclidean", K.ambient_dim, (), window)
     u = membership_field(K, U_radius)
     value, witness, diag = envelope_at(u, space, x, budget, qq)
-    nodes = witness.boundary_values(qq.M)
-    bad = int(np.count_nonzero(K.distance(nodes) >= U_radius))
-    exceptional = TWO_PI * bad / qq.M
+    _, exceptional = exceptional_nodes(K, witness.boundary_values(qq.M), U_radius)
     threshold = -1.0 + eps / TWO_PI
     if value < threshold:
         return HullCertificate(
@@ -266,7 +277,7 @@ def verify_certificate(
     """
     M = q.M if q is not None else cert.M
     nodes = cert.disc.boundary_values(M)
-    bad = K.distance(nodes) >= cert.U_radius
+    bad, _ = exceptional_nodes(K, nodes, cert.U_radius)
     bad_frac = float(np.count_nonzero(bad)) / M
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7,))))
@@ -283,7 +294,7 @@ def verify_certificate(
     for i, rho in enumerate(rho_list):
         rho_x = eval_field(rho, cert.x)
         vals = rho.values(nodes)
-        disc_avg = float(np.mean(vals))
+        disc_avg = float(boundary_means(vals[None])[0][0])
         sup_v = float(np.max(rho.values(v_cloud))) if len(v_cloud) else -np.inf
         sup_v = max(sup_v, float(np.max(vals)))
         sup_u = float(np.max(rho.values(u_cloud))) if len(u_cloud) else -np.inf

@@ -194,6 +194,10 @@ def interp_bilinear(domain: GridDomain, grid: np.ndarray, z) -> float:
     patch = grid[jy : jy + 2, jx : jx + 2]
     if np.isnan(patch).any():
         raise ValueError(f"point {z} touches inactive oracle nodes")
+    # A node of weight 0 (the point is on a grid line) is left out, so that
+    # -inf there does not turn into 0 * -inf = NaN.
+    unused = np.logical_or.outer([False, ay == 0], [False, ax == 0])
+    patch = np.where(unused & np.isinf(patch), 0.0, patch)
     return float((1 - ay) * ((1 - ax) * patch[0, 0] + ax * patch[0, 1])
                  + ay * ((1 - ax) * patch[1, 0] + ax * patch[1, 1]))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -269,3 +270,83 @@ mask = disc
                      "--quiet"]) == 2
     err = capsys.readouterr().err
     assert setting in err and "relaxation" in err
+
+
+def test_oracle_comparison_keeps_a_nan_difference(tmp_path, capsys):
+    # Envelope and oracle both -inf at 0.5 (the relaxed log(abs2(z1)) is -inf
+    # on the whole interior): the difference is NaN, and so is the maximum,
+    # whatever finite differences come with it.
+    stored = tmp_path / "results.json"
+    stored.write_text(json.dumps({"points": [
+        {"x": [[0.5, 0.0]], "value": float("-inf")},
+        {"x": [[0.0, 0.25]], "value": float("-inf")},
+    ]}))
+    cfg = write(tmp_path / "oracle.cfg", f"""\
+[run]
+mode = oracle
+
+[oracle]
+expr = log(abs2(z1))
+n = 33
+mask = disc
+compare = {stored}
+""")
+    out = tmp_path / "out"
+    assert cli.main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    assert "max |diff| = NaN" in capsys.readouterr().out
+    rows = (out / "comparison.csv").read_text().splitlines()
+    assert rows[1].endswith(",-Infinity,-Infinity,NaN")
+
+
+def test_every_budget_field_is_a_config_key(tmp_path):
+    # One [budget] key per SearchBudget field (degree_schedule under the name
+    # degrees), each parsed as the field's default is typed.
+    cfg = write(tmp_path / "run.cfg", """\
+[run]
+mode = envelope
+
+[budget]
+seed = 9
+degrees = 3 5
+restarts = 3
+descent_iters = 7
+rh_rounds = 2
+k_schedule = 3 5
+n_phases = 4
+step_init = 0.5
+step_shrink = 0.25
+init_scale = 0.2
+degree_decay = 0.5
+boundary_points = 6
+child_degree = 2
+laurent_m = 1
+""")
+    cp = cli._load_config(cfg)
+    cli._validate_config(cp, "envelope")
+    want = SearchBudget(
+        degree_schedule=(3, 5), restarts=3, descent_iters=7, rh_rounds=2,
+        k_schedule=(3, 5), n_phases=4, seed=9, step_init=0.5,
+        step_shrink=0.25, init_scale=0.2, degree_decay=0.5,
+        boundary_points=6, child_degree=2, laurent_m=1,
+    )
+    assert cli._parse_budget(cp) == want
+    assert all(getattr(want, f.name) != f.default
+               for f in dataclasses.fields(SearchBudget))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("restarts = 2", "restarts = two", "restarts"),
+    ("restarts = 2", "restarts = 2.5", "restarts"),
+    ("degrees = 2", "degrees = 2 x", "degrees"),
+    ("degrees = 2", "degrees = 4 2", "degree_schedule"),
+    ("seed = 4", "seed = -1", "seed"),
+    ("seed = 4", "seed = 4\nstep_shrink = half", "step_shrink"),
+    ("seed = 4", "seed = 4\nk_schedule = 2 2.5", "k_schedule"),
+    ("seed = 4", "seed = 4\nn_phases = 0", "n_phases"),
+    ("seed = 4", "seed = 4\nchild_degrees = 3", "child_degrees"),
+])
+def test_bad_budget_value_or_key_is_named(tmp_path, capsys, old, new, key):
+    cfg = write(tmp_path / "run.cfg", ENVELOPE_CFG.replace(old, new))
+    assert cli.main(["envelope", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+    assert key in capsys.readouterr().err

@@ -69,8 +69,9 @@ def test_boundary_values_match_eval():
 
 
 def test_stacked_boundaries_match_one_by_one():
-    # Bit for bit, including the last ulp: the envelope search screens its
-    # trials on these values and stores boundary_from_coeffs' values.
+    # Bit for bit, including the last ulp: the envelope search scores its
+    # trials on these values, and poisson_functional recomputes the stored
+    # values from boundary_from_coeffs'.
     rng = np.random.default_rng(4)
     for width in (1, 2):
         for degree in (1, 8, 33, 128):

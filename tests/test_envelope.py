@@ -367,7 +367,7 @@ def test_glue_round_children_sit_on_checked_points():
 
 def _project_one(frame, q, coeffs):
     # The single-disc projection the stacked _project replaced.
-    if frame.feasible(boundary_from_coeffs(coeffs, q.M)):
+    if frame.fits(boundary_from_coeffs(coeffs, q.M)):
         return coeffs
     deg = coeffs.shape[0] - 1
     pow_ = _RHO_GRID[:, None] ** np.arange(deg + 1)[None, :]
@@ -510,7 +510,7 @@ def _serial_descent(frame, q, b, state, cols, n_rows, iters, to_coeffs):
      euclidean_space(2, [0j, 0j], [0.6, 0.6]), [0.3, -0.2j]),
 ])
 def test_descents_match_serial_reference(text, space, center):
-    # The shared move loop, with its stacked repair and screen, ends where
+    # The shared move loop, with its stacked repair and scoring, ends where
     # the serial sweeps end, bit for bit, on windowed searches whose trials
     # often leave the window.
     frame = _Frame(parse_field(text), space)

@@ -6,6 +6,7 @@ from pshenv.errors import DomainError
 from pshenv.functional import (
     QuadratureSpec,
     arc_functional,
+    boundary_means,
     decreasing_approximation,
     eval_field,
     parse_field,
@@ -53,7 +54,6 @@ def test_decreasing_approximation():
     u = parse_field("log(abs(z1))")
     u3 = decreasing_approximation(u, 3)
     assert eval_field(u3, [0j]) == -3.0
-    assert u3.lower_bound == -3.0
 
     bounded = parse_field("max(re(z1), -1)")
     u5 = decreasing_approximation(bounded, 5)
@@ -108,6 +108,25 @@ def test_poisson_minus_inf_and_clip():
     assert poisson_functional(u, f, QuadratureSpec(M=64)) == float("-inf")
     clipped = poisson_functional(u, f, QuadratureSpec(M=64, clip=-40.0))
     assert np.isfinite(clipped)
+
+
+def test_boundary_means_rows_and_minus_infinity():
+    inf = np.inf
+    samples = np.array([
+        [1.0, 2.0, 3.0, 6.0],
+        [1.0, -inf, 3.0, 6.0],
+        [inf, -inf, 3.0, 6.0],  # sums to NaN; a -inf sample decides the row
+        [inf, 2.0, 3.0, 6.0],
+    ])
+    means, clipped = boundary_means(samples)
+    assert means.tolist() == [3.0, -inf, -inf, inf]
+    assert clipped is samples
+    means, clipped = boundary_means(samples, clip=0.0)
+    assert means.tolist() == [3.0, 2.5, inf, inf]
+    assert clipped[1, 1] == 0.0
+    stacked, _ = boundary_means(samples)
+    for i in range(4):
+        assert boundary_means(samples[i : i + 1])[0][0] == stacked[i]
 
 
 def test_arc_full_circle_matches_poisson():

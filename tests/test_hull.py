@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pshenv import cli
 from pshenv.envelope import SearchBudget
 from pshenv.errors import SchemaMismatch
 from pshenv.functional import QuadratureSpec, eval_field, parse_field
@@ -14,6 +15,7 @@ from pshenv.hull import (
     certificate_from_json,
     certificate_to_json,
     default_window,
+    exceptional_nodes,
     hull_membership,
     load_certificate,
     membership_field,
@@ -84,7 +86,6 @@ def test_membership_field_values():
     assert eval_field(u, [1.4 + 0j]) == -1.0  # inside the fattening
     assert eval_field(u, [1.5 + 0j]) == 0.0  # the neighborhood is open
     assert eval_field(u, [3 + 0j]) == 0.0
-    assert u.lower_bound == -1.0
 
 
 def test_default_window_contains_the_set():
@@ -197,3 +198,34 @@ def test_certificate_schema_checks():
     del broken["window"]
     with pytest.raises(SchemaMismatch):
         certificate_from_json(broken)
+
+
+def test_exceptional_measure_agrees_in_search_verify_and_cli(tmp_path):
+    # On a saved certificate the measure the search stored, the fraction
+    # verify_certificate reports and the measure the verify command
+    # recomputes come from exceptional_nodes and agree bit for bit.
+    path = tmp_path / "cert.json"
+    save_certificate(two_ball_certificate(), path)
+    cert = load_certificate(path)
+    bad, measure = exceptional_nodes(
+        TWO_BALLS, cert.disc.boundary_values(cert.M), cert.U_radius)
+    assert 0 < np.count_nonzero(bad) < cert.M
+    assert measure == cert.exceptional_measure
+    report = verify_certificate(cert, TWO_BALLS, bundled_psh_corpus(1))
+    assert report["exceptional_fraction"] == np.count_nonzero(bad) / cert.M
+    assert TWO_PI * report["exceptional_fraction"] == measure
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"""\
+[run]
+mode = verify
+
+[verify]
+certificate = {path}
+balls = 1+0j 0.3 ; -1+0j 0.3
+""")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    verified = json.loads((out / "verify.json").read_text())
+    assert verified["exceptional_match"] is True
+    assert verified["exceptional_fraction"] == report["exceptional_fraction"]

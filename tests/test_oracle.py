@@ -303,3 +303,34 @@ def test_cross_oracle_agreement_on_annulus():
     for r in np.linspace(0.25, 0.95, 15):
         grid_val = interp_bilinear(dom, v, complex(r, 0.0))
         assert abs(grid_val - env.value(np.log(r))) < 0.03
+
+
+def _bilinear_formula(domain, grid, z):
+    # The interpolation formula with every node weighted, zero weights too.
+    fx = (z.real - domain.x[0]) / domain.h
+    fy = (z.imag - domain.y[0]) / domain.h
+    jx, jy = int(np.floor(fx)), int(np.floor(fy))
+    ax, ay = fx - jx, fy - jy
+    p = grid[jy : jy + 2, jx : jx + 2]
+    return float((1 - ay) * ((1 - ax) * p[0, 0] + ax * p[0, 1])
+                 + ay * ((1 - ax) * p[1, 0] + ax * p[1, 1]))
+
+
+def test_interp_bilinear_leaves_out_zero_weight_nodes():
+    # The minorant of log(abs2(z1)) is -inf on the whole interior of the
+    # 33-disc.  At 0.5 (a node) or on a grid line the -inf neighbours of
+    # weight 0 are left out instead of giving 0 * -inf = NaN.
+    dom = grid_domain(33, mask="disc")
+    v = subharmonic_minorant(field_on_grid(parse_field("log(abs2(z1))"), dom),
+                             dom)
+    for z in (0.5 + 0j, 0.5 + 0.01j, 0.51 + 0j, 0.51 + 0.01j):
+        assert interp_bilinear(dom, v, z) == -np.inf
+    # A finite node next to a -inf one: on the node, its own value.
+    g = field_on_grid(parse_field("re(z1) + 2 * im(z1)"), dom)
+    g[16, 25] = -np.inf
+    assert interp_bilinear(dom, g, 0.5 + 0j) == g[16, 24]
+    assert interp_bilinear(dom, g, 0.53 + 0j) == -np.inf
+    # Finite grids: the same bits as the formula, on grid lines too.
+    g = field_on_grid(parse_field("re(z1) * im(z1) - abs2(z1)"), dom)
+    for z in (0.5 + 0j, 0.5 + 0.13j, 0.13 + 0.25j, -0.3 - 0.41j, 0j):
+        assert interp_bilinear(dom, g, z) == _bilinear_formula(dom, g, z)
