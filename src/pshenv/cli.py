@@ -298,8 +298,8 @@ def _parse_budget(cp) -> SearchBudget:
     sec = cp["budget"]
     if "seed" not in sec:
         raise ConfigError("missing required key 'seed' in section [budget]")
-    # A field is parsed as its default is typed: int, float or int list.
-    parse = {int: _int_of, float: _float_of, tuple: _int_list}
+    # A field is parsed as its default is typed: int or int list.
+    parse = {int: _int_of, tuple: _int_list}
     kw = {
         f.name: parse[type(f.default)](sec[key], key)
         for key, f in _BUDGET_FIELDS.items()

@@ -236,20 +236,20 @@ class BoundaryFamily:
         object.__setattr__(self, "discs", tuple(self.discs))
 
 
-def fit_laurent(family: BoundaryFamily, m: int, n_terms: int, deg_a: int,
-                z_samples: int | None = None, cond_limit: float = COND_LIMIT):
+def fit_laurent(family: BoundaryFamily, m: int, n_terms: int, deg_a: int):
     """Least-squares Laurent fit of a boundary family.
 
     Samples lam(zeta_j, z) = g_j(z) - f(zeta_j) over the family's angles and a
     z-grid of roots of unity, and solves for the A_j coefficient polynomials
-    with a column-pivoted orthogonal factorization.  Returns
+    with a column-pivoted orthogonal factorization; the z-grid has
+    max(2 * n_terms, 8) points.  Returns
     ``(LaurentFamily, residual)`` with the achieved sup-norm residual on the
     sample grid.  Raises IllConditioned when the condition estimate of the
-    normal equations exceeds cond_limit.
+    normal equations exceeds COND_LIMIT.
     """
     if n_terms < 1 or deg_a < 0 or m < 0:
         raise ValueError("need n_terms >= 1, deg_a >= 0, m >= 0")
-    L = z_samples or max(2 * n_terms, 8)
+    L = max(2 * n_terms, 8)
     zeta = np.exp(1j * family.angles)           # (B,)
     zg = unit_roots(L)                          # (L,)
     B, width = zeta.size, family.base.width
@@ -267,10 +267,10 @@ def fit_laurent(family: BoundaryFamily, m: int, n_terms: int, deg_a: int,
 
     sing = np.linalg.svd(design, compute_uv=False)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
-    if cond * cond > cond_limit:
+    if cond * cond > COND_LIMIT:
         raise IllConditioned(
             f"normal equations condition estimate {cond * cond:.3e} "
-            f"exceeds {cond_limit:.3e}"
+            f"exceeds {COND_LIMIT:.3e}"
         )
 
     rhs = data.reshape(B * L, width)

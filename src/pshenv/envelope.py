@@ -3,10 +3,12 @@
 For a field u and a point x, the quantity of interest is the infimum of
 ``poisson_functional(u, f, q)`` over analytic discs f with f(0) = x that stay
 in the space (and inside its window, when one is set).  The search is a
-direct method: staged coordinate descent on polynomial coefficients, restarted
-from seeded random discs, optionally interleaved with rounds that glue
-per-boundary-node sub-searches back onto the disc through a Laurent-family
-composition (``disc.compose_rh``).
+direct method: staged coordinate descent on polynomial coefficients.  Each
+stage descends the incumbent, any extra seeds and seeded random discs, plus
+one structured seed scanned from a family chosen by the window kind: dip
+discs inside a euclidean window, arc-Chebyshev discs without one.  Rounds
+that glue per-boundary-node sub-searches back onto the disc through a
+Laurent-family composition (``disc.compose_rh``) can follow each stage.
 
 Everything is deterministic given the budget seed.  Random streams are
 counter-based and keyed by (seed, point index, stage, restart), so grids can
@@ -53,6 +55,20 @@ IMPROVE_TOL = 1e-12
 _FEAS_SLACK = 1e-12
 
 
+# Descent step: the first sweep's step, and its factor after a sweep that
+# accepts no move.
+_STEP_INIT = 0.25
+_STEP_SHRINK = 0.5
+# Random restarts: row j >= 1 is complex normal with scale
+# _INIT_SCALE * _DEGREE_DECAY ** (j - 1).
+_INIT_SCALE = 0.35
+_DEGREE_DECAY = 0.75
+# Glue rounds: the composition powers k tried, and the phases per k.  The
+# Laurent fit has no pole (m = 0), so every k >= 1 keeps the center.
+_K_SCHEDULE = (2, 3, 4, 6, 8, 12, 16)
+_N_PHASES = 16
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Knobs for one envelope search.
@@ -67,41 +83,24 @@ class SearchBudget:
     restarts: int = 8
     descent_iters: int = 20
     rh_rounds: int = 0
-    k_schedule: tuple = (2, 3, 4, 6, 8, 12, 16)
-    n_phases: int = 16
     seed: int = 0
-    step_init: float = 0.25
-    step_shrink: float = 0.5
-    init_scale: float = 0.35
-    degree_decay: float = 0.75
     boundary_points: int = 8
     child_degree: int = 3
-    laurent_m: int = 0
 
     def __post_init__(self):
         ds = tuple(int(d) for d in self.degree_schedule)
         object.__setattr__(self, "degree_schedule", ds)
         if not ds or ds[0] < 1 or any(b < a for a, b in zip(ds, ds[1:])):
             raise ValueError("degree_schedule must be nondecreasing, all >= 1")
-        ks = tuple(int(k) for k in self.k_schedule)
-        object.__setattr__(self, "k_schedule", ks)
-        if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("k_schedule must be strictly increasing, all >= 1")
         if self.restarts < 0 or self.descent_iters < 0 or self.rh_rounds < 0:
             raise ValueError("restarts/descent_iters/rh_rounds must be >= 0")
-        if self.n_phases < 1:
-            raise ValueError("n_phases must be >= 1")
         if int(self.seed) < 0:
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if not (self.step_init > 0 and 0 < self.step_shrink < 1):
-            raise ValueError("need step_init > 0 and step_shrink in (0, 1)")
-        if not (self.init_scale > 0 and 0 < self.degree_decay <= 1):
-            raise ValueError("need init_scale > 0 and degree_decay in (0, 1]")
         if self.boundary_points < 4:
             raise ValueError("boundary_points must be >= 4")
-        if self.child_degree < 1 or self.laurent_m < 0:
-            raise ValueError("child_degree >= 1 and laurent_m >= 0 required")
+        if self.child_degree < 1:
+            raise ValueError("child_degree must be >= 1")
 
 
 def child_budget(b: SearchBudget) -> SearchBudget:
@@ -254,11 +253,11 @@ def _rng(key: tuple) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _random_coeffs(rng, center, degree: int, b: SearchBudget):
+def _random_coeffs(rng, center, degree: int):
     c = np.zeros((degree + 1, center.size), dtype=complex)
     c[0] = center
     if degree:
-        scales = b.init_scale * b.degree_decay ** np.arange(degree)
+        scales = _INIT_SCALE * _DEGREE_DECAY ** np.arange(degree)
         noise = rng.standard_normal((degree, center.size, 2))
         c[1:] = (noise[..., 0] + 1j * noise[..., 1]) * scales[:, None] / np.sqrt(2.0)
     return c
@@ -272,9 +271,12 @@ def _resize(coeffs, degree: int, dim: int):
     return out
 
 
-# (wall gain, dip factor) pairs for the two-level seeds on spaces with no
-# window to set the high level.
-_DIP_LEVELS = ((8.0, 1 / 8), (64.0, 1 / 16), (512.0, 1 / 32))
+# ---------------------------------------------------------------------------
+# Structured seeds: one disc family per window kind, scanned over its
+# parameter.
+
+# The dip family's coarse grid: arc measures i / (_DIP_COARSE + 2).
+_DIP_COARSE = 24
 
 
 def _exp_coeffs(P):
@@ -293,106 +295,59 @@ def _exp_coeffs(P):
     return E
 
 
-def _seed_anchor(frame):
-    """Anchor point and per-coordinate wall radii for the dip seeds."""
-    if frame.branch is None and frame.constraint is not None:
-        return (
-            np.asarray(frame.constraint.center, dtype=complex),
-            np.asarray(frame.constraint.radii, dtype=float),
-        )
-    return np.zeros(frame.dim, dtype=complex), None
-
-
-def _dip_log(frame, center, degree: int, mu: float, lhi_vec):
-    """Log-shape P of one two-level dip seed.
-
-    exp(P) holds near exp(lhi) off a dip arc of measure mu and drops on it,
-    with the levels balanced so the constant term is exactly 1; coordinates
-    with no offset from the anchor stay put.
-    """
-    c0, _ = _seed_anchor(frame)
-    live = np.abs(center - c0) > 1e-12
-    n = np.arange(1, degree + 1)
-    step = 2.0 * np.sin(np.pi * mu * n) / (np.pi * n)
-    P = np.zeros((degree + 1, frame.dim), dtype=complex)
-    for ell in range(frame.dim):
-        if live[ell] and lhi_vec[ell] > 1e-12:
-            P[1:, ell] = (-lhi_vec[ell] / mu) * step
-    return P
-
-
-def _seed_params(frame, center, coarse: int = 24):
-    """(mu, lhi_vec) parameter list for the dip seeds at this center.
-
-    With a window the high level pushes the offset to the wall and mu runs
-    over a coarse grid (callers refine around the best); without a window a
-    fixed grid of gain/dip pairs supplies both levels.
-    """
-    c0, radii = _seed_anchor(frame)
-    offset = center - c0
-    live = np.abs(offset) > 1e-12
-    if not live.any():
-        return []
-    if radii is not None:
-        rel = np.ones(frame.dim)
-        rel[live] = np.abs(offset[live]) / radii[live]
-        lhi_vec = -np.log(np.clip(rel, 3e-4, 1.0))
-        if not (lhi_vec > 1e-12).any():
-            return []
-        return [(i / (coarse + 2), lhi_vec) for i in range(1, coarse + 1)]
-    out = []
-    for gain, dip in _DIP_LEVELS:
-        lhi = np.log(gain)
-        out.append((lhi / (lhi - np.log(dip)), np.full(frame.dim, lhi)))
-    return out
-
-
 def _disc_from_log(frame, center, P):
     """Assemble anchor + offset * exp(P) for a stack of log-shapes P.
 
-    P has shape (n, degree+1, dim); the center row of every disc is exact.
+    The anchor is the window's center.  P has shape (n, degree+1, dim); the
+    center row of every disc is exact.
     """
-    c0, _ = _seed_anchor(frame)
+    c0 = np.asarray(frame.constraint.center, dtype=complex)
     f = c0 + (center - c0) * _exp_coeffs(P)
     f[:, 0] = center
     return f
 
 
-def _descend_log(frame, q, b: SearchBudget, P, center, stage_degree: int, iters: int):
-    """Coordinate descent on the log-shape P of an exponential-form disc.
+def _dip_family(frame, center, degree: int):
+    """The two-level dip seeds at this center as a ``_best_seed`` family,
+    or None when no coordinate's offset from the window's center has room.
 
-    The move loop of ``_descend``, but its trials perturb P and are scored
-    through anchor + offset * exp(P), over the columns whose center is off
-    the anchor; multiplicative dips widen or deepen smoothly under such
-    moves where direct coefficient steps would break the shape.  Returns
-    (coeffs, value, accept threshold).
+    Seed mu is anchor + offset * exp(P): exp(P) holds near exp(lhi) off a
+    dip arc of measure mu and drops on it, with the levels balanced so the
+    constant term is exactly 1.  The high level lhi pushes each offset to
+    the wall; coordinates with no offset stay put.
     """
-    P = _resize(P, stage_degree, frame.dim)
-    start = _score(frame, q, _disc_from_log(frame, center, P[None])[0])
-    live = np.abs(center - _seed_anchor(frame)[0]) > 1e-12
-    cols = [c for c in range(frame.dim) if live[c]]
-    return _move_loop(
-        frame, q, b, P, cols, stage_degree, iters, start,
-        lambda trials: _disc_from_log(frame, center, trials),
-    )
+    c0 = np.asarray(frame.constraint.center, dtype=complex)
+    offset = center - c0
+    live = np.abs(offset) > 1e-12
+    rel = np.ones(frame.dim)
+    rel[live] = np.abs(offset[live]) / frame.constraint.radii[live]
+    lhi = -np.log(np.clip(rel, 3e-4, 1.0))
+    cols = lhi > 1e-12
+    if not cols.any():
+        return None
+    n = np.arange(1, degree + 1)
+
+    def make(mus):
+        P = np.zeros((len(mus), degree + 1, frame.dim), dtype=complex)
+        for i, mu in enumerate(mus):
+            step = 2.0 * np.sin(np.pi * mu * n) / (np.pi * n)
+            P[i, 1:][:, cols] = step[:, None] * (-lhi[cols] / mu)
+        return _disc_from_log(frame, center, P)
+
+    coarse = [i / (_DIP_COARSE + 2) for i in range(1, _DIP_COARSE + 1)]
+    return make, coarse, ((1 / 256, 7),), (0.0, 0.97)
 
 
-def _arc_cheb_seed(frame, center, degree: int, alpha: float):
-    """Seed whose offset from the anchor is small off a gap arc of width alpha.
+def _arc_cheb_seed(center, degree: int, alpha: float):
+    """Seed whose offset from the origin is small off a gap arc of width alpha.
 
-    Chebyshev polynomial composed with the standard arc-to-interval map,
-    evaluated on a fine circle grid and read back off by FFT; degree-graded
-    growth on the gap buys the drop everywhere else.  The ratio against its
-    own constant term keeps the center row exact.  Needs an even degree >= 2
-    and an unbounded window (the gap growth is enormous), else None.
+    Chebyshev polynomial of the even degree n <= degree composed with the
+    standard arc-to-interval map, evaluated on a fine circle grid and read
+    back off by FFT; degree-graded growth on the gap buys the drop
+    everywhere else.  The ratio against its own constant term keeps the
+    center row exact.
     """
     n = degree - (degree % 2)
-    if n < 2 or frame.constraint is not None:
-        return None
-    c0, _ = _seed_anchor(frame)
-    offset = center - c0
-    if not (np.abs(offset) > 1e-12).any():
-        return None
     mf = 4 << (n - 1).bit_length()
     theta = 2.0 * np.pi * np.arange(mf) / mf
     tn = np.zeros(n + 1)
@@ -403,81 +358,72 @@ def _arc_cheb_seed(frame, center, degree: int, alpha: float):
     rows = np.fft.fft(vals)[: n + 1] / mf
     rows = rows / rows[0]
     rows[0] = 1.0
-    out = offset[None, :] * rows[:, None]
+    out = center[None, :] * rows[:, None]
     out[0] = center
     return out
 
 
-def _best_arc_seed(frame, q, center, degree: int, incumbent: float):
-    """Scan the arc-Chebyshev seeds over gap widths; best (coeffs, value).
+def _arc_family(center, degree: int):
+    """The arc-Chebyshev seeds at this center, as a ``_best_seed`` family,
+    or None.
 
-    Each scan scores its widths as one stack; the winner is the least value,
-    ties going to the smaller width.  None unless the winner beats the incumbent by its own noise threshold,
-    so callers spend descent time only on seeds that already lead.
+    The gap width alpha is the parameter.  The gap growth is enormous, so
+    the family serves only unbounded windows; it needs degree >= 2 and a
+    center off the origin.
     """
-    if frame.constraint is not None or degree < 2:
+    if degree < 2 or not (np.abs(center) > 1e-12).any():
         return None
-    coarse = [0.2 + 0.1 * i for i in range(11)]
 
-    def scan(alphas):
-        seeds = [_arc_cheb_seed(frame, center, degree, a) for a in alphas]
-        if not seeds or seeds[0] is None:
-            return []
-        coeffs, values, tols = _score_stack(frame, q, seeds)
-        return list(zip(values.tolist(), alphas, coeffs, tols.tolist()))
+    def make(alphas):
+        return [_arc_cheb_seed(center, degree, a) for a in alphas]
+
+    coarse = [0.2 + 0.1 * i for i in range(11)]
+    return make, coarse, ((0.01, 8), (0.002, 8)), (0.05, 1.5)
+
+
+def _best_seed(frame, q, center, degree: int, incumbent: float):
+    """The stage's structured seed: best (coeffs, value) of one scan, or None.
+
+    The family comes from the window kind: dip seeds inside a euclidean
+    window, arc-Chebyshev seeds without one, none on a curve with a window.
+    A family is (make, coarse, rounds, (lo, hi)): make maps a parameter list
+    to discs, which are scored as one stack.  After the coarse grid, each
+    (spread, reach) round scores the leader's parameter plus j * spread for
+    0 < |j| <= reach, inside (lo, hi); node crossings make the value a step
+    function of the parameter, so descent cannot tune it.  The least value
+    wins, ties going to the smaller parameter.  None unless the winner beats
+    the incumbent by its own noise threshold, so descent time goes only to
+    seeds that already lead.
+    """
+    if frame.constraint is None:
+        family = _arc_family(center, degree)
+    elif frame.branch is None:
+        family = _dip_family(frame, center, degree)
+    else:
+        family = None
+    if family is None:
+        return None
+    make, coarse, rounds, (lo, hi) = family
+
+    def scan(params):
+        coeffs, values, tols = _score_stack(frame, q, make(params))
+        return list(zip(values.tolist(), params, coeffs, tols.tolist()))
 
     scored = scan(coarse)
-    if not scored:
-        return None
-    for spread in (0.01, 0.002):
-        best = min(scored, key=lambda s: (s[0], s[1]))
-        fine = [best[1] + j * spread for j in range(-8, 9) if j]
-        scored += scan([a for a in fine if 0.05 < a < 1.5])
+    for spread, reach in rounds:
+        lead = min(scored, key=lambda s: (s[0], s[1]))[1]
+        fine = [lead + j * spread for j in range(-reach, reach + 1) if j]
+        fine = [p for p in fine if lo < p < hi]
+        if fine:
+            scored += scan(fine)
     best = min(scored, key=lambda s: (s[0], s[1]))
     if best[0] >= incumbent - max(best[3], IMPROVE_TOL):
         return None
     return best[2], best[0]
 
 
-def _best_dip_seed(frame, q, center, degree: int, incumbent: float):
-    """Scan the dip-seed family and return its best (P, value), or None.
-
-    Each scan scores its parameter list as one stack, and the first least
-    value in list order wins; when the arc measure is the free knob a
-    second, finer scan brackets the coarse winner (node-crossing events make
-    the value a step function of mu, so descent cannot tune it).  As with
-    the arc seeds, a winner that does not beat the incumbent by its noise
-    threshold is dropped.
-    """
-    params = _seed_params(frame, center)
-    if not params:
-        return None
-
-    def score(plist):
-        Ps = [_dip_log(frame, center, degree, mu, lhi) for mu, lhi in plist]
-        _, values, tols = _score_stack(
-            frame, q, _disc_from_log(frame, center, np.stack(Ps))
-        )
-        return [
-            (v, mu, lhi, P, t)
-            for v, (mu, lhi), P, t in zip(values.tolist(), plist, Ps, tols.tolist())
-        ]
-
-    scored = score(params)
-    best = min(scored, key=lambda s: s[0])
-    _, radii = _seed_anchor(frame)
-    if radii is not None:
-        mu0 = best[1]
-        fine = [
-            (mu0 + j / 256.0, best[2])
-            for j in range(-7, 8)
-            if j and 0.0 < mu0 + j / 256.0 < 0.97
-        ]
-        if fine:
-            best = min(scored + score(fine), key=lambda s: s[0])
-    if best[0] >= incumbent - max(best[4], IMPROVE_TOL):
-        return None
-    return best[3], best[0]
+# ---------------------------------------------------------------------------
+# Coefficient descent.
 
 
 def _steps(step):
@@ -517,68 +463,45 @@ def _first_improvement(frame, q, trials, best, btol):
     return i, coeffs[i], float(values[i]), float(tols[i])
 
 
-def _move_loop(frame, q, b: SearchBudget, state, cols, n_rows, iters, start,
-               to_coeffs=None):
-    """The sweeps both descents run: first improvement over axis steps.
+def _descend(frame, q, coeffs, stage_degree: int, iters: int):
+    """First-improvement descent over rows 1..stage_degree.
 
-    ``state`` is the (rows, dim) array the moves perturb and ``start`` the
-    (coeffs, value, threshold) of the disc it stands for.  Each sweep tries
-    the eight steps of ``_steps`` at rows 1..n_rows and the given columns;
-    the trials of one row (every column still to try) are mapped to disc
-    coefficients by ``to_coeffs`` (None: the state is the disc) and decided
-    together by ``_first_improvement``.  A win makes the later columns'
-    trials stale, so they are made again from the winner.  The step shrinks
-    after a sweep with no accepted move.  Returns (coeffs, value, accept
-    threshold of the winning evaluation).
+    The start disc is repaired into the window if it leaves it.  Each sweep
+    tries the eight steps of ``_steps`` at every coefficient; the trials of
+    one row (every column still to try) are decided together by
+    ``_first_improvement``, which repairs those that leave the window in
+    one stacked ``_project`` call (row scaling, center row untouched).  A
+    win, repaired or not, is the new disc, and makes the later columns'
+    trials stale, so they are made again from it.  The step shrinks after a
+    sweep with no accepted move.  Returns (coeffs, value, accept threshold
+    of the winning evaluation).
     """
-    coeffs, best, btol = start
-    if best == float("-inf") or iters <= 0 or not cols:
-        return start
-    step = b.step_init
+    coeffs, best, btol = _score(frame, q, coeffs)
+    if best == float("-inf") or iters <= 0:
+        return coeffs, best, btol
+    n_rows = min(stage_degree, coeffs.shape[0] - 1)
+    step = _STEP_INIT
     for _ in range(iters):
         improved = False
         deltas = _steps(step)
         n_try = len(deltas)
         for row in range(1, n_rows + 1):
             k = 0
-            while k < len(cols):
-                trials = np.repeat(state[None], n_try * (len(cols) - k), axis=0)
-                for j, c in enumerate(cols[k:]):
+            while k < frame.dim:
+                trials = np.repeat(coeffs[None], n_try * (frame.dim - k), axis=0)
+                for j, c in enumerate(range(k, frame.dim)):
                     trials[j * n_try:(j + 1) * n_try, row, c] += deltas
-                cands = trials if to_coeffs is None else to_coeffs(trials)
-                win = _first_improvement(frame, q, cands, best, btol)
+                win = _first_improvement(frame, q, trials, best, btol)
                 if win is None:
                     break
                 i, coeffs, best, btol = win
-                # A repaired winner is the new state of a coefficient
-                # descent; a log-shape descent keeps the trial's log-shape.
-                state = coeffs if to_coeffs is None else trials[i]
                 improved = True
                 k += i // n_try + 1
         if not improved:
-            step *= b.step_shrink
+            step *= _STEP_SHRINK
             if step < 1e-10:
                 break
     return coeffs, best, btol
-
-
-def _descend(frame, q, b: SearchBudget, coeffs, stage_degree: int, iters: int):
-    """First-improvement descent over rows 1..stage_degree.
-
-    The start disc is repaired into the window if it leaves it.  Each sweep
-    tries additive axis steps in the four complex directions per
-    coefficient; the step halves after a sweep with no accepted move.  The
-    trials of one row (all its columns) are scored together by
-    ``_first_improvement``, which repairs those that leave the window in one
-    stacked ``_project`` call (row scaling, center row untouched).  Returns
-    (coeffs, value, accept threshold of the winning evaluation).
-    """
-    start = _score(frame, q, coeffs)
-    coeffs = start[0]
-    n_rows = min(stage_degree, coeffs.shape[0] - 1)
-    return _move_loop(
-        frame, q, b, coeffs, list(range(frame.dim)), n_rows, iters, start
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,25 +551,21 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
     for j in range(Mb - 2, -1, -1):
         warm = kid_coeffs[j + 1].copy()
         warm[0] = ring[j]
-        cc, cv, ct = _descend(frame, q, cb, warm, cd, cb.descent_iters)
+        cc, cv, ct = _descend(frame, q, warm, cd, cb.descent_iters)
         if cv < fwd_vals[j] - max(ct, fwd_tols[j]):
             kid_coeffs[j] = cc
     kids = [AnalyticDisc(kc) for kc in kid_coeffs]
     n_terms = max(1, max(k.degree for k in kids))
     info["n_terms"] = n_terms
 
-    usable = [k for k in b.k_schedule if k > b.laurent_m]
-    if not usable:
-        info["skipped"] = "no k above the pole order"
-        return coeffs, val, info
-    deg_a = min(Mb - 1, stage_degree - (usable[0] * n_terms - b.laurent_m))
+    deg_a = min(Mb - 1, stage_degree - _K_SCHEDULE[0] * n_terms)
     if deg_a < 0:
         info["skipped"] = "no degree room at this stage"
         return coeffs, val, info
 
     family = BoundaryFamily(base, angles, tuple(kids))
     try:
-        lam, resid = fit_laurent(family, b.laurent_m, n_terms, deg_a)
+        lam, resid = fit_laurent(family, 0, n_terms, deg_a)
     except IllConditioned as exc:
         info["skipped"] = f"fit ill-conditioned: {exc}"
         return coeffs, val, info
@@ -655,13 +574,13 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
 
     best_val, best_coeffs, best_k, best_pi, best_mean = val, None, None, None, None
     swept = []
-    for k in usable:
-        if k * n_terms - b.laurent_m + deg_a > stage_degree:
+    for k in _K_SCHEDULE:
+        if k * n_terms + deg_a > stage_degree:
             continue
         phases = [
-            compose_rh(base, lam, k, np.exp(2j * np.pi * pi / b.n_phases),
+            compose_rh(base, lam, k, np.exp(2j * np.pi * pi / _N_PHASES),
                        degree_cap=stage_degree).coeffs
-            for pi in range(b.n_phases)
+            for pi in range(_N_PHASES)
         ]
         # The disc trims zero top rows, so phases may differ in degree; each
         # degree is scored as one stack.
@@ -701,34 +620,29 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
     rounds = [best_v]
     stages, rh_log = [], []
     seq = 0
+    seed_source = "arc" if frame.constraint is None else "dip"
     for si, d in enumerate(b.degree_schedule):
-        cands = [_resize(best_c, d, frame.dim)]
+        # Each stage's "source" names the candidate whose descent set its
+        # value: the carried incumbent, an extra seed, a random restart, or
+        # the structured seed, which is descended last.
+        cands = [("carried", _resize(best_c, d, frame.dim))]
         for s in extra_seeds:
-            cands.append(_resize(np.asarray(s, dtype=complex), d, frame.dim))
+            s = np.asarray(s, dtype=complex)
+            cands.append(("extra", _resize(s, d, frame.dim)))
         for ridx in range(b.restarts):
             rng = _rng(key_base + (si, ridx))
-            cands.append(_random_coeffs(rng, center, d, b))
-        for cand in cands:
-            cc, cv, ct = _descend(frame, q, b, cand, d, b.descent_iters)
+            cands.append(("restart", _random_coeffs(rng, center, d)))
+        source = "carried"
+        for name, cand in cands:
+            cc, cv, ct = _descend(frame, q, cand, d, b.descent_iters)
             if cv < best_v - max(ct, IMPROVE_TOL):
-                best_c, best_v = cc, cv
-        # Exponential-form pipeline: scan the two-level dip seeds, refine
-        # the winner in log space where the dips move smoothly.
-        dip = _best_dip_seed(frame, q, center, d, best_v)
-        if dip is not None:
-            cc, cv, ct = _descend_log(
-                frame, q, b, dip[0], center, d, b.descent_iters
-            )
+                best_c, best_v, source = cc, cv, name
+        seed = _best_seed(frame, q, center, d, best_v)
+        if seed is not None:
+            cc, cv, ct = _descend(frame, q, seed[0], d, b.descent_iters)
             if cv < best_v - max(ct, IMPROVE_TOL):
-                best_c, best_v = cc, cv
-        # Arc-Chebyshev pipeline (unbounded windows): scan gap widths, then
-        # polish the winner with the ordinary descent.
-        arc = _best_arc_seed(frame, q, center, d, best_v)
-        if arc is not None:
-            cc, cv, ct = _descend(frame, q, b, arc[0], d, b.descent_iters)
-            if cv < best_v - max(ct, IMPROVE_TOL):
-                best_c, best_v = cc, cv
-        stages.append({"degree": d, "value": best_v})
+                best_c, best_v, source = cc, cv, seed_source
+        stages.append({"degree": d, "value": best_v, "source": source})
         rounds.append(best_v)
         for _ in range(b.rh_rounds):
             best_c, new_v, info = _rh_round(
@@ -844,7 +758,7 @@ def envelope_grid(
         branch, coeffs = cand
         frame = _Frame(u, space, branch)
         coeffs = _resize(coeffs, top_degree, frame.dim)
-        cc, cv, ct = _descend(frame, qq, b, coeffs, top_degree, b.descent_iters)
+        cc, cv, ct = _descend(frame, qq, coeffs, top_degree, b.descent_iters)
         if cv < values[i] - max(ct, IMPROVE_TOL):
             values[i] = cv
             wits[i] = AnalyticDisc(cc, branch)
@@ -998,18 +912,22 @@ def check_submean(
     return reports
 
 
+# Grid points this close (max-norm) to a singular-locus hint are left out of
+# the shells of upper_regularize.
+_SINGULAR_TOL = 1e-7
+
+
 def upper_regularize(
     estimate: EnvelopeEstimate,
     space: SpaceModel,
     p,
     radii,
-    singular_tol: float = 1e-7,
 ):
     """Shell maxima of the estimate around p over regular grid points.
 
     Returns (value, report) where report maps each radius to the max of the
     estimate over grid points within that distance of p, excluding p itself
-    and (on curves) anything within singular_tol of the singular-locus hint;
+    and (on curves) anything within _SINGULAR_TOL of the singular-locus hint;
     value is the max at the smallest radius.  Raises EmptyShell when a shell
     contains no usable grid point.
     """
@@ -1023,7 +941,7 @@ def upper_regularize(
     keep = dist > 1e-12
     if space.kind == "curve":
         for s in singular_locus_hint(space):
-            keep &= np.max(np.abs(pts - s[None, :]), axis=1) > singular_tol
+            keep &= np.max(np.abs(pts - s[None, :]), axis=1) > _SINGULAR_TOL
     report = {}
     for r in radii:
         shell = keep & (dist <= r)

@@ -257,13 +257,17 @@ def hull_membership(
     )
 
 
+# Size of the sample cloud of the window V in verify_certificate; the cloud
+# of the neighborhood U has a quarter as many points.
+_VERIFY_SAMPLES = 512
+
+
 def verify_certificate(
     cert: HullCertificate,
     K: CompactSet,
     rho_list,
     q: QuadratureSpec | None = None,
     tol: float = 1e-6,
-    n_samples: int = 512,
 ) -> dict:
     """Re-check a certificate against a list of test fields.
 
@@ -283,11 +287,11 @@ def verify_certificate(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7,))))
     w = cert.window
     v_cloud = w.center + w.radii * (
-        (2 * rng.random((n_samples, w.center.size)) - 1)
-        + 1j * (2 * rng.random((n_samples, w.center.size)) - 1)
+        (2 * rng.random((_VERIFY_SAMPLES, w.center.size)) - 1)
+        + 1j * (2 * rng.random((_VERIFY_SAMPLES, w.center.size)) - 1)
     ) / np.sqrt(2.0)
     v_cloud = v_cloud[np.asarray(w.satisfied(v_cloud), bool)]
-    u_cloud = K.sample(max(8, n_samples // 4), seed=11, pad=0.9 * cert.U_radius)
+    u_cloud = K.sample(_VERIFY_SAMPLES // 4, seed=11, pad=0.9 * cert.U_radius)
     u_cloud = u_cloud[K.distance(u_cloud) < cert.U_radius]
 
     entries = []

@@ -311,23 +311,14 @@ degrees = 3 5
 restarts = 3
 descent_iters = 7
 rh_rounds = 2
-k_schedule = 3 5
-n_phases = 4
-step_init = 0.5
-step_shrink = 0.25
-init_scale = 0.2
-degree_decay = 0.5
 boundary_points = 6
 child_degree = 2
-laurent_m = 1
 """)
     cp = cli._load_config(cfg)
     cli._validate_config(cp, "envelope")
     want = SearchBudget(
         degree_schedule=(3, 5), restarts=3, descent_iters=7, rh_rounds=2,
-        k_schedule=(3, 5), n_phases=4, seed=9, step_init=0.5,
-        step_shrink=0.25, init_scale=0.2, degree_decay=0.5,
-        boundary_points=6, child_degree=2, laurent_m=1,
+        seed=9, boundary_points=6, child_degree=2,
     )
     assert cli._parse_budget(cp) == want
     assert all(getattr(want, f.name) != f.default
@@ -343,6 +334,7 @@ laurent_m = 1
     ("seed = 4", "seed = 4\nstep_shrink = half", "step_shrink"),
     ("seed = 4", "seed = 4\nk_schedule = 2 2.5", "k_schedule"),
     ("seed = 4", "seed = 4\nn_phases = 0", "n_phases"),
+    ("seed = 4", "seed = 4\nlaurent_m = 1", "laurent_m"),
     ("seed = 4", "seed = 4\nchild_degrees = 3", "child_degrees"),
 ])
 def test_bad_budget_value_or_key_is_named(tmp_path, capsys, old, new, key):

@@ -5,11 +5,14 @@ from pshenv import envelope
 from pshenv.disc import AnalyticDisc, boundary_from_coeffs, circle_powers
 from pshenv.envelope import (
     _RHO_GRID,
+    _STEP_INIT,
+    _STEP_SHRINK,
+    IMPROVE_TOL,
     EnvelopeEstimate,
     SearchBudget,
+    _arc_cheb_seed,
+    _best_seed,
     _descend,
-    _descend_log,
-    _dip_log,
     _disc_from_log,
     _exp_coeffs,
     _first_improvement,
@@ -17,8 +20,7 @@ from pshenv.envelope import (
     _project,
     _rh_round,
     _score,
-    _seed_anchor,
-    _seed_params,
+    _score_stack,
     _steps,
     check_submean,
     child_budget,
@@ -68,12 +70,6 @@ def test_budget_validation():
         SearchBudget(degree_schedule=())
     with pytest.raises(ValueError):
         SearchBudget(degree_schedule=(4, 2))
-    with pytest.raises(ValueError):
-        SearchBudget(k_schedule=(2, 2))
-    with pytest.raises(ValueError):
-        SearchBudget(n_phases=0)
-    with pytest.raises(ValueError):
-        SearchBudget(step_shrink=1.0)
 
 
 def test_child_budget_shrinks():
@@ -392,7 +388,7 @@ def _exp_coeffs_one(P):
 
 
 def _disc_from_log_one(frame, center, P):
-    c0, _ = _seed_anchor(frame)
+    c0 = np.asarray(frame.constraint.center, dtype=complex)
     f = c0[None, :] + (center - c0)[None, :] * _exp_coeffs_one(P)
     f[0] = center
     return f
@@ -475,15 +471,13 @@ def test_grid_caps_workers_at_the_point_count(monkeypatch):
     assert est.values == ref.values
 
 
-def _serial_descent(frame, q, b, state, cols, n_rows, iters, to_coeffs):
-    # The one-trial-at-a-time sweeps both descents ran before their trials
-    # were scored in batches.  A coefficient descent (to_coeffs None) moves
-    # to the repaired winner, a log-shape descent keeps the trial's shape.
-    as_disc = (lambda s: s) if to_coeffs is None else to_coeffs
-    coeffs, best, btol = _score(frame, q, as_disc(state))
+def _serial_descent(frame, q, state, cols, n_rows, iters):
+    # The one-trial-at-a-time sweeps the descent ran before its trials were
+    # scored in batches; a win, repaired or not, is the new disc.
+    coeffs, best, btol = _score(frame, q, state)
     if best == float("-inf") or iters <= 0 or not cols:
         return coeffs, best, btol
-    step = b.step_init
+    step = _STEP_INIT
     for _ in range(iters):
         improved = False
         for row in range(1, n_rows + 1):
@@ -491,14 +485,14 @@ def _serial_descent(frame, q, b, state, cols, n_rows, iters, to_coeffs):
                 for delta in _steps(step):
                     trial = state.copy()
                     trial[row, col] += delta
-                    cand, val, vtol = _score(frame, q, as_disc(trial))
+                    cand, val, vtol = _score(frame, q, trial)
                     if val < best - max(vtol, btol):
-                        state = cand if to_coeffs is None else trial
-                        coeffs, best, btol = cand, val, vtol
+                        state = coeffs = cand
+                        best, btol = val, vtol
                         improved = True
                         break
         if not improved:
-            step *= b.step_shrink
+            step *= _STEP_SHRINK
             if step < 1e-10:
                 break
     return coeffs, best, btol
@@ -510,8 +504,8 @@ def _serial_descent(frame, q, b, state, cols, n_rows, iters, to_coeffs):
      euclidean_space(2, [0j, 0j], [0.6, 0.6]), [0.3, -0.2j]),
 ])
 def test_descents_match_serial_reference(text, space, center):
-    # The shared move loop, with its stacked repair and scoring, ends where
-    # the serial sweeps end, bit for bit, on windowed searches whose trials
+    # The descent, with its stacked repair and scoring, ends where the
+    # serial sweeps end, bit for bit, on windowed searches whose trials
     # often leave the window.
     frame = _Frame(parse_field(text), space)
     center = np.asarray(center, dtype=complex)
@@ -521,14 +515,156 @@ def test_descents_match_serial_reference(text, space, center):
         coeffs = (rng.normal(size=(9, frame.dim))
                   + 1j * rng.normal(size=(9, frame.dim))) * 0.3
         coeffs[0] = center
-        got = _descend(frame, Q64, b, coeffs, 8, b.descent_iters)
-        want = _serial_descent(frame, Q64, b, _score(frame, Q64, coeffs)[0],
-                               list(range(frame.dim)), 8, b.descent_iters, None)
+        got = _descend(frame, Q64, coeffs, 8, b.descent_iters)
+        want = _serial_descent(frame, Q64, _score(frame, Q64, coeffs)[0],
+                               list(range(frame.dim)), 8, b.descent_iters)
         assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
-    for mu, lhi in _seed_params(frame, center)[::8]:
-        P = _dip_log(frame, center, 8, mu, lhi)
-        got = _descend_log(frame, Q64, b, P, center, 8, b.descent_iters)
-        want = _serial_descent(
-            frame, Q64, b, P, list(range(frame.dim)), 8, b.descent_iters,
-            lambda t: _disc_from_log_one(frame, center, t))
-        assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+
+
+# The two seed scans a stage ran before they merged into _best_seed, kept as
+# references: the dip scan with a euclidean window (its fixed gain/dip
+# levels for spaces without a window are gone) and the arc scan without
+# one.  Each also returns how many scanned parameters share the winning
+# value.
+
+
+def _dip_log_ref(frame, center, degree, mu, lhi_vec):
+    live = np.abs(center - frame.constraint.center) > 1e-12
+    n = np.arange(1, degree + 1)
+    step = 2.0 * np.sin(np.pi * mu * n) / (np.pi * n)
+    P = np.zeros((degree + 1, frame.dim), dtype=complex)
+    for ell in range(frame.dim):
+        if live[ell] and lhi_vec[ell] > 1e-12:
+            P[1:, ell] = (-lhi_vec[ell] / mu) * step
+    return P
+
+
+def _seed_params_ref(frame, center, coarse=24):
+    c0 = np.asarray(frame.constraint.center, dtype=complex)
+    radii = np.asarray(frame.constraint.radii, dtype=float)
+    offset = center - c0
+    live = np.abs(offset) > 1e-12
+    if not live.any():
+        return []
+    rel = np.ones(frame.dim)
+    rel[live] = np.abs(offset[live]) / radii[live]
+    lhi_vec = -np.log(np.clip(rel, 3e-4, 1.0))
+    if not (lhi_vec > 1e-12).any():
+        return []
+    return [(i / (coarse + 2), lhi_vec) for i in range(1, coarse + 1)]
+
+
+def _best_dip_seed_ref(frame, q, center, degree, incumbent):
+    params = _seed_params_ref(frame, center)
+    if not params:
+        return None
+
+    def score(plist):
+        Ps = [_dip_log_ref(frame, center, degree, mu, lhi) for mu, lhi in plist]
+        _, values, tols = _score_stack(
+            frame, q, _disc_from_log(frame, center, np.stack(Ps))
+        )
+        return [
+            (v, mu, lhi, P, t)
+            for v, (mu, lhi), P, t in zip(values.tolist(), plist, Ps, tols.tolist())
+        ]
+
+    scored = score(params)
+    best = min(scored, key=lambda s: s[0])
+    mu0 = best[1]
+    fine = [
+        (mu0 + j / 256.0, best[2])
+        for j in range(-7, 8)
+        if j and 0.0 < mu0 + j / 256.0 < 0.97
+    ]
+    if fine:
+        scored = scored + score(fine)
+        best = min(scored, key=lambda s: s[0])
+    if best[0] >= incumbent - max(best[4], IMPROVE_TOL):
+        return None
+    disc = _score(frame, q, _disc_from_log(frame, center, best[3][None])[0])[0]
+    return disc, best[0], sum(s[0] == best[0] for s in scored)
+
+
+def _best_arc_seed_ref(frame, q, center, degree, incumbent):
+    if frame.constraint is not None or degree < 2:
+        return None
+    if not (np.abs(center) > 1e-12).any():
+        return None
+    coarse = [0.2 + 0.1 * i for i in range(11)]
+
+    def scan(alphas):
+        seeds = [_arc_cheb_seed(center, degree, a) for a in alphas]
+        coeffs, values, tols = _score_stack(frame, q, seeds)
+        return list(zip(values.tolist(), alphas, coeffs, tols.tolist()))
+
+    scored = scan(coarse)
+    for spread in (0.01, 0.002):
+        best = min(scored, key=lambda s: (s[0], s[1]))
+        fine = [best[1] + j * spread for j in range(-8, 9) if j]
+        scored += scan([a for a in fine if 0.05 < a < 1.5])
+    best = min(scored, key=lambda s: (s[0], s[1]))
+    if best[0] >= incumbent - max(best[3], IMPROVE_TOL):
+        return None
+    return best[2], best[0], sum(s[0] == best[0] for s in scored)
+
+
+@pytest.mark.parametrize("text, space, centers", [
+    ("-indicator(ball(0, 0; 0.25))", euclidean_space(1, [0j], [1.0]),
+     [[0.5], [0.3 + 0.4j], [0.95], [0.0]]),
+    ("log(0.001 + abs2(z1)) + abs2(z2)",
+     euclidean_space(2, [0j, 0.1j], [1.0, 0.5]),
+     [[0.3, -0.2j], [0.6, 0.1j], [0.0, 0.4j]]),
+    ("-indicator(ball(0, 0; 1))", euclidean_space(1),
+     [[2.0], [1.5j], [3.0 - 1.0j], [0.0]]),
+    ("-indicator(ball(0, 0, 0, 0; 1))", euclidean_space(2),
+     [[1.5, 0.5j], [2.0, 0.0]]),
+])
+def test_best_seed_matches_the_parent_scans(text, space, centers):
+    # The one seed scan gives the value of the scan it replaced at every
+    # center and degree, and the same disc unless the winning value is
+    # shared by several parameters (the merged scan breaks such ties
+    # towards the smaller parameter, the old dip scan towards the coarse
+    # grid).
+    frame = _Frame(parse_field(text), space)
+    ref = _best_arc_seed_ref if frame.constraint is None else _best_dip_seed_ref
+    found = 0
+    for center in centers:
+        center = np.asarray(center, dtype=complex)
+        constant = _score(frame, Q64, center[None].copy())[1]
+        for degree in (2, 3, 5, 8, 16, 33, 64):
+            for incumbent in (np.inf, constant):
+                got = _best_seed(frame, Q64, center, degree, incumbent)
+                want = ref(frame, Q64, center, degree, incumbent)
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                found += 1
+                assert got[1] == want[1]
+                assert want[2] > 1 or np.array_equal(got[0], want[0])
+    assert found > 0
+
+
+def _stage_sources(text, space, x, budget, q):
+    _, _, diag = envelope_at(parse_field(text), space, x, budget, q)
+    return [s["source"] for s in diag["stages"]]
+
+
+@pytest.mark.parametrize("text, space, x, budget, source", [
+    ("-indicator(ball(0, 0; 0.25))", euclidean_space(1, [0j], [1.0]), [0.5],
+     SearchBudget(degree_schedule=(8,), restarts=2, descent_iters=4, seed=1),
+     "dip"),
+    ("-indicator(ball(0, 0; 1))", euclidean_space(1), [2.0],
+     SearchBudget(degree_schedule=(8, 16), restarts=1, descent_iters=2,
+                  seed=1),
+     "arc"),
+])
+def test_stage_source_names_the_winning_candidate(text, space, x, budget,
+                                                  source):
+    # The windowed obstacle is won by a dip seed, the unbounded indicator by
+    # an arc seed; the labels are deterministic.
+    q = QuadratureSpec(M=128)
+    sources = _stage_sources(text, space, x, budget, q)
+    assert set(sources) <= {"carried", "extra", "restart", "dip", "arc"}
+    assert source in sources
+    assert _stage_sources(text, space, x, budget, q) == sources
