@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .disc import AnalyticDisc, disc_to_json
+from .disc import AnalyticDisc, complex_from_json, complex_to_json, disc_to_json
 from .envelope import EnvelopeEstimate, SearchBudget, check_submean, envelope_grid
 from .errors import ConfigError, PshenvError, SchemaMismatch
 from .functional import (
@@ -44,13 +44,60 @@ from .hull import (
     verify_certificate,
 )
 from .oracle import field_on_grid, grid_domain, interp_bilinear, subharmonic_minorant
-from .space import (
-    BranchMap,
-    DomainConstraint,
-    SpaceModel,
-    curve_space,
-    euclidean_space,
-)
+from .space import BranchMap, SpaceModel, curve_space, euclidean_space, polydisc
+
+# ---------------------------------------------------------------------------
+# The config schema.  A reader turns the text of one value into its type and
+# raises ValueError on a malformed value.
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(t) for t in text.split()])
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(t) for t in text.split())
+
+
+def _complexes(text: str) -> np.ndarray:
+    return np.array([complex(t) for t in text.split()], dtype=complex)
+
+
+def _complex_lists(text: str) -> list:
+    """`;`-separated complex lists; empty ones are skipped."""
+    return [_complexes(part) for part in text.split(";") if part.strip()]
+
+
+def _range(text: str) -> np.ndarray:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("expected lo:hi:count")
+    count = int(parts[2])
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return np.linspace(float(parts[0]), float(parts[1]), count)
+
+
+def _clip(text: str):
+    return None if text.lower() == "none" else float(text)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Section:
+    """One config section: a reader per key, the keys it cannot do without,
+    the values of keys left out, and keys that only make sense with another
+    (key -> the key it needs).  A key ``prefix.*`` admits every
+    ``prefix.<label>`` key."""
+
+    readers: dict
+    required: tuple = ()
+    defaults: dict = dataclasses.field(default_factory=dict)
+    needs: dict = dataclasses.field(default_factory=dict)
+
+    def reader(self, key: str):
+        prefix, dot, _ = key.partition(".")
+        return self.readers.get(prefix + ".*" if dot else key)
+
 
 # [budget] keys: one per SearchBudget field, under the field's own name
 # except degree_schedule, which configs call degrees.
@@ -59,36 +106,43 @@ _BUDGET_FIELDS = {
     for f in dataclasses.fields(SearchBudget)
 }
 
-_SECTION_KEYS = {
-    "run": {"mode"},
-    "space": {"kind", "dim", "center", "radius"},
-    "field": {"expr", "truncate"},
-    "grid": {"kind", "points", "coord", "re", "im", "r", "angle", "base"},
-    "budget": set(_BUDGET_FIELDS),
-    "quadrature": {"m", "clip"},
-    "hull": {
-        "balls",
-        "boxes",
-        "points",
-        "blow_radius",
-        "x",
-        "u_radius",
-        "eps",
-        "window_center",
-        "window_radius",
-    },
-    "oracle": {
-        "expr",
-        "truncate",
-        "n",
-        "rect",
-        "mask",
-        "inner",
-        "tol",
-        "max_iters",
-        "compare",
-    },
-    "verify": {"certificate", "balls", "boxes", "points", "blow_radius", "tol"},
+_FIELD_KEYS = {"expr": str, "truncate": float}
+_SET_KEYS = {"balls": _complex_lists, "boxes": _complex_lists,
+             "points": _complex_lists, "blow_radius": float}
+_SET_DEFAULTS = {"balls": (), "boxes": (), "points": (), "blow_radius": 0.0}
+
+_SCHEMA = {
+    "run": _Section({"mode": str}, required=("mode",)),
+    "space": _Section(
+        {"kind": str, "dim": int, "center": _complexes, "radius": _floats,
+         "branch.*": _complex_lists},
+        required=("kind",), needs={"center": "radius"}),
+    "field": _Section(_FIELD_KEYS, required=("expr",)),
+    "grid": _Section(
+        {"kind": str, "points": _complex_lists, "coord": int, "base": _complexes,
+         "re": _range, "im": _range, "r": _range, "angle": float},
+        required=("kind",), defaults={"coord": 1, "angle": 0.0}),
+    "budget": _Section(
+        {key: _ints if isinstance(f.default, tuple) else int
+         for key, f in _BUDGET_FIELDS.items()},
+        required=("seed",)),
+    "quadrature": _Section(
+        {"m": int, "clip": _clip},
+        defaults={"m": QuadratureSpec.M, "clip": QuadratureSpec.clip}),
+    "hull": _Section(
+        {**_SET_KEYS, "x": _complexes, "u_radius": float, "eps": float,
+         "window_center": _complexes, "window_radius": _floats},
+        required=("x", "u_radius", "eps"), defaults=_SET_DEFAULTS,
+        needs={"window_center": "window_radius"}),
+    "oracle": _Section(
+        {**_FIELD_KEYS, "n": int, "rect": _floats, "mask": str, "inner": float,
+         "tol": float, "max_iters": int, "compare": str},
+        required=("expr",),
+        defaults={"n": 129, "rect": (-1.0, 1.0, -1.0, 1.0), "mask": "rect",
+                  "inner": 0.0, "tol": 1e-10, "max_iters": 10**6}),
+    "verify": _Section(
+        {**_SET_KEYS, "certificate": str, "tol": float},
+        required=("certificate",), defaults={**_SET_DEFAULTS, "tol": 1e-6}),
 }
 
 _MODE_SECTIONS = {
@@ -100,44 +154,42 @@ _MODE_SECTIONS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Low-level value parsing.
+class _Values(dict):
+    """The values of one section; reading a key it lacks is a config error."""
+
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
+
+    def __missing__(self, key):
+        raise _missing(key, self.name)
 
 
-def _complex_list(text: str, key: str) -> np.ndarray:
-    try:
-        return np.array([complex(tok) for tok in text.split()], dtype=complex)
-    except ValueError as exc:
-        raise ConfigError(f"bad complex list for {key}: {exc}") from exc
+def _missing(key: str, name: str) -> ConfigError:
+    return ConfigError(f"missing required key {key!r} in section [{name}]")
 
 
-def _float_of(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad number for {key}: {text!r}") from exc
-
-
-def _int_of(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad integer for {key}: {text!r}") from exc
-
-
-def _int_list(text: str, key: str) -> tuple:
-    return tuple(_int_of(tok, key) for tok in text.split())
-
-
-def _linspace_spec(text: str, key: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{key} must be lo:hi:count, got {text!r}")
-    lo, hi = _float_of(parts[0], key), _float_of(parts[1], key)
-    n = _int_of(parts[2], key)
-    if n < 1:
-        raise ConfigError(f"{key} count must be >= 1")
-    return np.linspace(lo, hi, n)
+def _section(cp: configparser.ConfigParser, name: str) -> _Values:
+    """Section [name] read through _SCHEMA, defaults filled in; a section
+    that is left out reads as empty."""
+    spec = _SCHEMA[name]
+    sec = cp[name] if name in cp else {}
+    values = _Values(name, spec.defaults)
+    for key, text in sec.items():
+        reader = spec.reader(key)
+        if reader is None:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        try:
+            values[key] = reader(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key}: cannot read {text!r}: {exc}") from exc
+    for key in spec.required:
+        if key not in sec:
+            raise _missing(key, name)
+    for key, need in spec.needs.items():
+        if key in sec and need not in sec:
+            raise ConfigError(f"[{name}] {key} needs {need}")
+    return values
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -155,20 +207,12 @@ def _load_config(path: str) -> configparser.ConfigParser:
 
 
 def _validate_config(cp: configparser.ConfigParser, mode: str) -> None:
-    allowed_sections = _MODE_SECTIONS[mode]
-    for section in cp.sections():
-        if section not in allowed_sections:
-            raise ConfigError(f"unknown section [{section}] for mode {mode}")
-        allowed = _SECTION_KEYS[section]
-        for key in cp[section]:
-            if key in allowed:
-                continue
-            if section == "space" and key.startswith("branch."):
-                continue
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if "run" not in cp or "mode" not in cp["run"]:
-        raise ConfigError("missing required key 'mode' in section [run]")
-    cfg_mode = cp["run"]["mode"].strip()
+    """Check every section and key against the schema and read every value."""
+    for name in cp.sections():
+        if name not in _MODE_SECTIONS[mode]:
+            raise ConfigError(f"unknown section [{name}] for mode {mode}")
+        _section(cp, name)
+    cfg_mode = _section(cp, "run")["mode"]
     if cfg_mode != mode:
         raise ConfigError(f"config mode {cfg_mode!r} does not match command {mode!r}")
 
@@ -178,181 +222,104 @@ def _validate_config(cp: configparser.ConfigParser, mode: str) -> None:
 
 
 def _parse_space(cp) -> SpaceModel:
-    if "space" not in cp:
-        raise ConfigError("missing required section [space]")
-    sec = cp["space"]
-    kind = sec.get("kind", "").strip()
-    center = _complex_list(sec["center"], "center") if "center" in sec else None
-    radius = (
-        np.array([_float_of(t, "radius") for t in sec["radius"].split()])
-        if "radius" in sec
-        else None
-    )
+    sec = _section(cp, "space")
+    kind, center, radius = sec["kind"], sec.get("center"), sec.get("radius")
     if kind == "euclidean":
-        if "dim" not in sec:
-            raise ConfigError("missing required key 'dim' in section [space]")
-        dim = _int_of(sec["dim"], "dim")
-        if radius is not None and radius.size == 1:
-            radius = np.full(dim, radius[0])
-        return euclidean_space(dim, center, radius)
+        return euclidean_space(sec["dim"], center, radius)
     if kind == "curve":
-        branches = []
-        for key in sec:
-            if not key.startswith("branch."):
-                continue
-            label = key[len("branch.") :]
-            comps = tuple(
-                _complex_list(part, key) for part in sec[key].split(";")
-            )
-            branches.append(BranchMap(label, comps))
+        branches = sorted(
+            (
+                BranchMap(key[len("branch.") :], tuple(comps))
+                for key, comps in sec.items()
+                if key.startswith("branch.")
+            ),
+            key=lambda b: b.label,
+        )
         if not branches:
             raise ConfigError("curve space needs at least one branch.<label> key")
-        branches.sort(key=lambda b: b.label)
-        constraint = None
-        if radius is not None:
-            dim = branches[0].ambient_dim
-            if center is None:
-                center = np.zeros(dim, dtype=complex)
-            if radius.size == 1:
-                radius = np.full(dim, radius[0])
-            constraint = DomainConstraint(center, radius)
-        return curve_space(branches, constraint)
+        dim = branches[0].ambient_dim
+        window = None if radius is None else polydisc(dim, radius, center)
+        return curve_space(branches, window)
     raise ConfigError(f"space kind must be euclidean or curve, got {kind!r}")
 
 
-def _parse_field_section(sec):
-    if "expr" not in sec:
-        raise ConfigError("missing required key 'expr' in field section")
+def _parse_field(sec):
     try:
         u = parse_field(sec["expr"])
     except ValueError as exc:
-        raise ConfigError(f"bad field expression: {exc}") from exc
+        raise ConfigError(f"[{sec.name}] expr: bad field expression: {exc}") from exc
     if "truncate" in sec:
-        u = decreasing_approximation(u, _float_of(sec["truncate"], "truncate"))
+        u = decreasing_approximation(u, sec["truncate"])
     return u
 
 
 def _parse_grid(cp, space: SpaceModel) -> list:
-    if "grid" not in cp:
-        raise ConfigError("missing required section [grid]")
-    sec = cp["grid"]
-    kind = sec.get("kind", "").strip()
-    N = space.ambient_dim
+    sec = _section(cp, "grid")
+    kind, N = sec["kind"], space.ambient_dim
     if kind == "points":
-        if "points" not in sec:
-            raise ConfigError("grid kind=points needs a 'points' key")
-        out = []
-        for chunk in sec["points"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            p = _complex_list(chunk, "points")
+        out = sec["points"]
+        for p in out:
             if p.size != N:
                 raise ConfigError(
-                    f"grid point {chunk!r} has {p.size} coordinates, expected {N}"
+                    f"grid point {p} has {p.size} coordinates, expected {N}"
                 )
-            out.append(p)
         if not out:
             raise ConfigError("grid kind=points lists no points")
         return out
-    coord = _int_of(sec.get("coord", "1"), "coord")
+    coord = sec["coord"]
     if not 1 <= coord <= N:
         raise ConfigError(f"grid coord must be in 1..{N}")
-    base = (
-        _complex_list(sec["base"], "base")
-        if "base" in sec
-        else np.zeros(N, dtype=complex)
-    )
+    base = sec.get("base", np.zeros(N, dtype=complex))
     if base.size != N:
         raise ConfigError(f"grid base needs {N} coordinates")
     if kind == "lattice":
-        if "re" not in sec or "im" not in sec:
-            raise ConfigError("grid kind=lattice needs 're' and 'im' ranges")
-        res = _linspace_spec(sec["re"], "re")
-        ims = _linspace_spec(sec["im"], "im")
-        out = []
-        for a in res:
-            for b in ims:
-                x = base.copy()
-                x[coord - 1] = a + 1j * b
-                out.append(x)
-        return out
-    if kind == "radial":
-        if "r" not in sec:
-            raise ConfigError("grid kind=radial needs an 'r' range")
-        rs = _linspace_spec(sec["r"], "r")
-        angle = _float_of(sec.get("angle", "0"), "angle")
-        phase = np.exp(1j * angle)
-        out = []
-        for r in rs:
-            x = base.copy()
-            x[coord - 1] = r * phase
-            out.append(x)
-        return out
-    raise ConfigError(f"grid kind must be points, lattice or radial, got {kind!r}")
+        offsets = [a + 1j * b for a in sec["re"] for b in sec["im"]]
+    elif kind == "radial":
+        phase = np.exp(1j * sec["angle"])
+        offsets = [r * phase for r in sec["r"]]
+    else:
+        raise ConfigError(f"grid kind must be points, lattice or radial, got {kind!r}")
+    out = []
+    for z in offsets:
+        x = base.copy()
+        x[coord - 1] = z
+        out.append(x)
+    return out
 
 
 def _parse_budget(cp) -> SearchBudget:
-    if "budget" not in cp:
-        raise ConfigError("missing required section [budget]")
-    sec = cp["budget"]
-    if "seed" not in sec:
-        raise ConfigError("missing required key 'seed' in section [budget]")
-    # A field is parsed as its default is typed: int or int list.
-    parse = {int: _int_of, tuple: _int_list}
-    kw = {
-        f.name: parse[type(f.default)](sec[key], key)
-        for key, f in _BUDGET_FIELDS.items()
-        if key in sec
-    }
+    sec = _section(cp, "budget")
     try:
-        return SearchBudget(**kw)
+        return SearchBudget(**{_BUDGET_FIELDS[key].name: v for key, v in sec.items()})
     except ValueError as exc:
         raise ConfigError(f"bad [budget]: {exc}") from exc
 
 
 def _parse_quadrature(cp) -> QuadratureSpec:
-    if "quadrature" not in cp:
-        return QuadratureSpec()
-    sec = cp["quadrature"]
-    kw = {}
-    if "m" in sec:
-        kw["M"] = _int_of(sec["m"], "M")
-    if "clip" in sec and sec["clip"].strip().lower() != "none":
-        kw["clip"] = _float_of(sec["clip"], "clip")
+    sec = _section(cp, "quadrature")
     try:
-        return QuadratureSpec(**kw)
+        return QuadratureSpec(M=sec["m"], clip=sec["clip"])
     except ValueError as exc:
         raise ConfigError(f"bad [quadrature]: {exc}") from exc
 
 
 def _parse_compact_set(sec) -> CompactSet:
     balls, boxes = [], []
-    if "balls" in sec:
-        for chunk in sec["balls"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            toks = _complex_list(chunk, "balls")
-            if toks.size < 2:
-                raise ConfigError("each ball needs center coordinates then a radius")
-            balls.append((toks[:-1], float(toks[-1].real)))
-    if "boxes" in sec:
-        for chunk in sec["boxes"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            toks = _complex_list(chunk, "boxes")
-            if toks.size % 2 != 0 or toks.size == 0:
-                raise ConfigError("each box needs lo then hi corner coordinates")
-            half = toks.size // 2
-            boxes.append((toks[:half], toks[half:]))
-    if "points" in sec:
-        blow = _float_of(sec.get("blow_radius", "0"), "blow_radius")
-        for chunk in sec["points"].split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                balls.append((_complex_list(chunk, "points"), blow))
+    for toks in sec["balls"]:
+        if toks.size < 2 or toks[-1].imag != 0:
+            raise ConfigError(
+                f"[{sec.name}] balls: each ball is its center coordinates, then "
+                f"a real radius; got {toks}"
+            )
+        balls.append((toks[:-1], float(toks[-1].real)))
+    for toks in sec["boxes"]:
+        if toks.size % 2 != 0:
+            raise ConfigError(
+                f"[{sec.name}] boxes: each box needs lo then hi corner coordinates"
+            )
+        half = toks.size // 2
+        boxes.append((toks[:half], toks[half:]))
+    balls += [(p, sec["blow_radius"]) for p in sec["points"]]
     try:
         return CompactSet(balls=tuple(balls), boxes=tuple(boxes))
     except ValueError as exc:
@@ -407,8 +374,14 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _point_json(p) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.ravel(p)]
+def _write_csv(path: str, header: str, rows) -> None:
+    """A header line, then one line per row: numbers through _fmt, text as is."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def _results_payload(est: EnvelopeEstimate, manifest: dict) -> dict:
@@ -416,7 +389,7 @@ def _results_payload(est: EnvelopeEstimate, manifest: dict) -> dict:
     for p, v, w, d in zip(est.points, est.values, est.witnesses, est.diagnostics):
         points.append(
             {
-                "x": _point_json(p),
+                "x": complex_to_json(p),
                 "value": float(v),
                 "witness": disc_to_json(w),
                 "rounds": [float(r) for r in d["rounds"]],
@@ -425,22 +398,20 @@ def _results_payload(est: EnvelopeEstimate, manifest: dict) -> dict:
     return {"manifest": manifest, "points": points}
 
 
-def _write_results_csv(path: str, est: EnvelopeEstimate) -> None:
+def _write_results(outdir: str, est: EnvelopeEstimate, manifest: dict) -> None:
+    """results.json, and results.csv with one line per point."""
+    _write_json(os.path.join(outdir, "results.json"), _results_payload(est, manifest))
     dim = est.points[0].size if est.points else 0
-    cols = []
-    for j in range(1, dim + 1):
-        cols += [f"x{j}_re", f"x{j}_im"]
-    cols += ["value", "witness_degree", "p_rounds"]
-    lines = [",".join(cols)]
+    cols = [f"x{j}_{part}" for j in range(1, dim + 1) for part in ("re", "im")]
+    rows = []
     for p, v, w, d in zip(est.points, est.values, est.witnesses, est.diagnostics):
-        row = []
-        for z in np.ravel(p):
-            row += [_fmt(z.real), _fmt(z.imag)]
-        row += [_fmt(float(v)), str(w.degree), str(len(d["rounds"]))]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        xs = [t for z in np.ravel(p) for t in (z.real, z.imag)]
+        rows.append(xs + [float(v), str(w.degree), str(len(d["rounds"]))])
+    _write_csv(
+        os.path.join(outdir, "results.csv"),
+        ",".join(cols + ["value", "witness_degree", "p_rounds"]),
+        rows,
+    )
 
 
 def _manifest(config_path: str, mode: str, seed) -> dict:
@@ -452,13 +423,6 @@ def _manifest(config_path: str, mode: str, seed) -> dict:
         "version": __version__,
         "mode": mode,
     }
-
-
-def _write_run_manifest(outdir, manifest, wall, threads) -> None:
-    obj = dict(manifest)
-    obj["wall_time_s"] = wall
-    obj["threads"] = threads
-    _write_json(os.path.join(outdir, "manifest.json"), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -503,55 +467,31 @@ def counterexample_scenario():
 
 def _run_envelope(cp, args) -> int:
     space = _parse_space(cp)
-    if "field" not in cp:
-        raise ConfigError("missing required section [field]")
-    u = _parse_field_section(cp["field"])
+    u = _parse_field(_section(cp, "field"))
     grid = _parse_grid(cp, space)
     budget = _parse_budget(cp)
     q = _parse_quadrature(cp)
     est = envelope_grid(u, space, grid, budget, q, threads=args.threads)
-    manifest = _manifest(args.config, "envelope", budget.seed)
-    _write_json(
-        os.path.join(args.out, "results.json"), _results_payload(est, manifest)
-    )
-    _write_results_csv(os.path.join(args.out, "results.csv"), est)
+    _write_results(args.out, est, _manifest(args.config, "envelope", budget.seed))
     lo, hi = min(est.values), max(est.values)
     _say(args, f"envelope: {len(est)} points, values in [{_fmt(lo)}, {_fmt(hi)}]")
     return 0
 
 
 def _run_hull(cp, args) -> int:
-    if "hull" not in cp:
-        raise ConfigError("missing required section [hull]")
-    sec = cp["hull"]
+    sec = _section(cp, "hull")
     K = _parse_compact_set(sec)
-    for key in ("x", "u_radius", "eps"):
-        if key not in sec:
-            raise ConfigError(f"missing required key {key!r} in section [hull]")
-    x = _complex_list(sec["x"], "x")
     window = None
     if "window_radius" in sec:
-        center = (
-            _complex_list(sec["window_center"], "window_center")
-            if "window_center" in sec
-            else np.zeros(K.ambient_dim, dtype=complex)
-        )
-        radii = np.array(
-            [_float_of(t, "window_radius") for t in sec["window_radius"].split()]
-        )
-        if radii.size == 1:
-            radii = np.full(K.ambient_dim, radii[0])
-        window = DomainConstraint(center, radii)
-    budget = _parse_budget(cp)
-    q = _parse_quadrature(cp)
+        window = polydisc(K.ambient_dim, sec["window_radius"], sec.get("window_center"))
     result = hull_membership(
         K,
-        x,
-        _float_of(sec["u_radius"], "u_radius"),
-        _float_of(sec["eps"], "eps"),
+        sec["x"],
+        sec["u_radius"],
+        sec["eps"],
         window,
-        budget,
-        q,
+        _parse_budget(cp),
+        _parse_quadrature(cp),
     )
     if isinstance(result, HullCertificate):
         save_certificate(result, os.path.join(args.out, "certificate.json"))
@@ -564,7 +504,7 @@ def _run_hull(cp, args) -> int:
         _write_json(
             os.path.join(args.out, "notfound.json"),
             {
-                "x": _point_json(result.x),
+                "x": complex_to_json(result.x),
                 "best_value": result.best_value,
                 "threshold": result.threshold,
                 "witness": disc_to_json(result.witness),
@@ -578,82 +518,79 @@ def _run_hull(cp, args) -> int:
     return 0
 
 
-def _run_oracle(cp, args) -> int:
-    if "oracle" not in cp:
-        raise ConfigError("missing required section [oracle]")
-    sec = cp["oracle"]
-    u = _parse_field_section(sec)
-    n = _int_of(sec.get("n", "129"), "n")
-    rect = tuple(float(t) for t in sec.get("rect", "-1 1 -1 1").split())
-    if len(rect) != 4:
-        raise ConfigError("oracle rect needs four numbers: re_lo re_hi im_lo im_hi")
-    mask = sec.get("mask", "rect").strip()
-    inner = _float_of(sec.get("inner", "0"), "inner")
-    domain = grid_domain(n, rect, mask=mask, inner=inner)
-    tol = _float_of(sec.get("tol", "1e-10"), "tol")
-    max_iters = _int_of(sec.get("max_iters", "1000000"), "max_iters")
-    u_grid = field_on_grid(u, domain)
-    v = subharmonic_minorant(u_grid, domain, tol=tol, max_iters=max_iters)
-    lines = ["x_re,y_im,u,minorant"]
-    for i in range(n):
-        for j in range(n):
-            if domain.mask[i, j]:
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(domain.x[j]),
-                            _fmt(domain.y[i]),
-                            _fmt(u_grid[i, j]),
-                            _fmt(v[i, j]),
-                        ]
-                    )
-                )
-    with open(os.path.join(args.out, "oracle.csv"), "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    _say(args, f"oracle: {n}x{n} grid solved")
-    if "compare" in sec:
-        with open(sec["compare"]) as fh:
+def _read_compare(path: str) -> list:
+    """(point, value) pairs of a results file in one variable."""
+    try:
+        with open(path) as fh:
             stored = json.load(fh)
-        rows = ["x_re,x_im,envelope,oracle,diff"]
-        worst = 0.0
+        pairs = []
         for entry in stored["points"]:
-            (re, im) = entry["x"][0]
-            z = complex(re, im)
+            x = complex_from_json(entry["x"])
+            if x.size != 1:
+                raise ValueError(
+                    f"a point has {x.size} coordinates; the oracle works in one"
+                )
+            pairs.append((complex(x[0]), float(entry["value"])))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"[oracle] compare: {path} is not a results file of one variable: {exc!r}"
+        ) from exc
+    return pairs
+
+
+def _run_oracle(cp, args) -> int:
+    sec = _section(cp, "oracle")
+    u = _parse_field(sec)
+    rect = sec["rect"]
+    if len(rect) != 4:
+        raise ConfigError("[oracle] rect needs four numbers: re_lo re_hi im_lo im_hi")
+    domain = grid_domain(sec["n"], tuple(rect), mask=sec["mask"], inner=sec["inner"])
+    stored = _read_compare(sec["compare"]) if "compare" in sec else None
+    u_grid = field_on_grid(u, domain)
+    v = subharmonic_minorant(u_grid, domain, tol=sec["tol"], max_iters=sec["max_iters"])
+    ii, jj = np.nonzero(domain.mask)
+    _write_csv(
+        os.path.join(args.out, "oracle.csv"),
+        "x_re,y_im,u,minorant",
+        zip(domain.x[jj], domain.y[ii], u_grid[ii, jj], v[ii, jj]),
+    )
+    _say(args, f"oracle: {domain.n}x{domain.n} grid solved")
+    if stored is not None:
+        rows = []
+        worst = 0.0
+        for z, value in stored:
             ov = interp_bilinear(domain, v, z)
-            dv = entry["value"] - ov
+            dv = value - ov
             # np.maximum keeps a NaN difference (both values -inf, say),
             # which max() would drop.
             worst = float(np.maximum(worst, abs(dv)))
-            rows.append(
-                ",".join(
-                    [_fmt(re), _fmt(im), _fmt(entry["value"]), _fmt(ov), _fmt(dv)]
-                )
-            )
-        with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
-            fh.write("\n".join(rows))
-            fh.write("\n")
+            rows.append((z.real, z.imag, value, ov, dv))
+        _write_csv(
+            os.path.join(args.out, "comparison.csv"),
+            "x_re,x_im,envelope,oracle,diff",
+            rows,
+        )
         _say(args, f"oracle: comparison written, max |diff| = {_fmt(worst)}")
     return 0
 
 
 def _run_verify(cp, args) -> int:
-    if "verify" not in cp:
-        raise ConfigError("missing required section [verify]")
-    sec = cp["verify"]
-    if "certificate" not in sec:
-        raise ConfigError("missing required key 'certificate' in section [verify]")
-    cert = load_certificate(sec["certificate"])
+    sec = _section(cp, "verify")
+    try:
+        cert = load_certificate(sec["certificate"])
+    except (OSError, ValueError, SchemaMismatch) as exc:
+        raise ConfigError(f"[verify] certificate: {exc}") from exc
     K = _parse_compact_set(sec)
     if K.ambient_dim != cert.x.size:
         raise ConfigError("compact set dimension does not match the certificate")
-    tol = _float_of(sec.get("tol", "1e-6"), "tol")
     u = membership_field(K, cert.U_radius)
     value = poisson_functional(u, cert.disc, QuadratureSpec(M=cert.M))
     _, exceptional = exceptional_nodes(
         K, cert.disc.boundary_values(cert.M), cert.U_radius
     )
-    report = verify_certificate(cert, K, bundled_psh_corpus(K.ambient_dim), tol=tol)
+    report = verify_certificate(
+        cert, K, bundled_psh_corpus(K.ambient_dim), tol=sec["tol"]
+    )
     report["value_match"] = value == cert.value
     report["stored_value"] = cert.value
     report["recomputed_value"] = value
@@ -679,7 +616,7 @@ def _run_counterexample(cp, args) -> int:
             "violations": [
                 {
                     "disc_index": v["disc_index"],
-                    "center": _point_json(v["center"]),
+                    "center": complex_to_json(v["center"]),
                     "center_value": v["center_value"],
                     "boundary_average": v["boundary_average"],
                     "excess": v["excess"],
@@ -689,7 +626,8 @@ def _run_counterexample(cp, args) -> int:
         },
     )
     if not violations:
-        _err(args, "counterexample: expected a submean violation, found none")
+        print("counterexample: expected a submean violation, found none",
+              file=sys.stderr)
         return 3
     worst = max(v["excess"] for v in violations)
     _say(args, f"counterexample: {len(violations)} violation(s), max excess {_fmt(worst)}")
@@ -739,9 +677,9 @@ def _run_diff(args) -> int:
         _say(args, "diff: runs identical within tolerance")
         return 0
     for d in diffs[:200]:
-        _err(args, f"diff: {d}")
+        print(f"diff: {d}", file=sys.stderr)
     if len(diffs) > 200:
-        _err(args, f"diff: ... and {len(diffs) - 200} more")
+        print(f"diff: ... and {len(diffs) - 200} more", file=sys.stderr)
     return 3
 
 
@@ -752,10 +690,6 @@ def _run_diff(args) -> int:
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
-
-
-def _err(args, msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -789,49 +723,36 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _command(args) -> int:
     if args.command == "diff":
-        try:
-            return _run_diff(args)
-        except SchemaMismatch as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return _run_diff(args)
     if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return 2
+        raise ConfigError("--threads must be >= 0")
     if args.threads == 0:
         args.threads = os.cpu_count() or 1
     start = time.perf_counter()
+    cp = _load_config(args.config)
+    _validate_config(cp, args.command)
+    os.makedirs(args.out, exist_ok=True)
+    code = _RUNNERS[args.command](cp, args)
+    wall = time.perf_counter() - start
+    seed = _section(cp, "budget")["seed"] if "budget" in cp else None
+    manifest = _manifest(args.config, args.command, seed)
+    manifest.update(wall_time_s=wall, threads=args.threads)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    return code
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        cp = _load_config(args.config)
-        _validate_config(cp, args.command)
-        os.makedirs(args.out, exist_ok=True)
-        code = _RUNNERS[args.command](cp, args)
-    except (ConfigError, SchemaMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return _command(args)
+    except (ConfigError, SchemaMismatch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PshenvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - start
-    seed = None
-    if "budget" in cp and "seed" in cp["budget"]:
-        seed = int(cp["budget"]["seed"])
-    try:
-        _write_run_manifest(
-            args.out, _manifest(args.config, args.command, seed), wall, args.threads
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ __all__ = [
     "fit_laurent",
     "compose_rh",
     "choose_phase",
+    "complex_to_json",
+    "complex_from_json",
     "disc_to_json",
     "disc_from_json",
     "unit_roots",
@@ -333,12 +335,21 @@ def choose_phase(f: AnalyticDisc, lam: LaurentFamily, k: int, u, arcs,
     return best_c, best_val
 
 
+def complex_to_json(v) -> list:
+    """A complex vector in the JSON layout of every output file: [[re, im], ...]."""
+    return [[float(z.real), float(z.imag)] for z in np.ravel(v)]
+
+
+def complex_from_json(obj) -> np.ndarray:
+    """Inverse of complex_to_json."""
+    return np.array([complex(re, im) for re, im in obj], dtype=complex)
+
+
 def disc_to_json(f: AnalyticDisc) -> dict:
     obj = {
         "degree": f.degree,
         "width": f.width,
-        "coeffs": [[[float(v.real), float(v.imag)] for v in row]
-                   for row in f.coeffs],
+        "coeffs": [complex_to_json(row) for row in f.coeffs],
     }
     if f.branch is not None:
         obj["branch"] = f.branch.label
@@ -346,8 +357,8 @@ def disc_to_json(f: AnalyticDisc) -> dict:
 
 
 def disc_from_json(obj: dict, space=None) -> AnalyticDisc:
-    coeffs = np.array([[complex(re, im) for re, im in row]
-                       for row in obj["coeffs"]], dtype=complex)
+    coeffs = np.array([complex_from_json(row) for row in obj["coeffs"]],
+                      dtype=complex)
     if coeffs.ndim != 2:
         coeffs = coeffs.reshape(obj["degree"] + 1, obj["width"])
     branch = None

@@ -28,7 +28,6 @@ from .disc import (
     AnalyticDisc,
     BoundaryFamily,
     boundary_from_coeffs,
-    circle_powers,
     compose_rh,
     fit_laurent,
     stacked_boundaries,
@@ -167,40 +166,49 @@ _NOISE_ULPS = 256.0 * np.finfo(float).eps
 
 
 # Trial scales for the window repair, largest first.  A fixed grid instead
-# of a bisection: all candidate boundaries come out of one tensor product,
-# which is an order of magnitude cheaper than sequential re-evaluation, and
-# repair only needs a workable rho, not the exact feasibility edge.
+# of a bisection: all candidate boundaries come out of one product, which is
+# an order of magnitude cheaper than sequential re-evaluation, and repair
+# only needs a workable rho, not the exact feasibility edge.
 _RHO_GRID = np.array(
     [0.999, 0.99, 0.97, 0.94, 0.9, 0.85, 0.78, 0.7,
      0.6, 0.5, 0.38, 0.25, 0.12, 0.03]
 )
 
 
-def _project(frame: _Frame, q: QuadratureSpec, stack):
+def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
     """Shrink each disc of a stack into the window: row j is scaled by rho**j.
 
     stack has shape (n, deg+1, dim) and holds discs that leave the window;
     callers test that first.  Reparametrizing by a smaller circle keeps the
-    center fixed; for each disc the largest feasible rho of a fixed grid
-    wins, and where none fits, the constant disc at the center (rho = 0,
-    always feasible for a feasible center) does.  The n x 14 candidate
-    boundaries take one BLAS call per disc, with the operand layout of a
-    single disc's tensor product over the grid, so each disc gets the rho it
-    would get alone.  Returns a new (n, deg+1, dim) stack.
+    center fixed.  The candidates of a disc are screened as the columns of
+    one (deg+1, 14 * dim) disc of ``stacked_boundaries``, whose bits can
+    differ from the repaired disc's own boundary: each disc takes the largest
+    rho of a fixed grid that fits in both, or else the constant disc at the
+    center (rho = 0, feasible for a feasible center).  Returns the new
+    (n, deg+1, dim) stack; bnds, shape (n, M, dim) with unit stride along M,
+    receives the boundaries of the returned discs when given.
     """
     n, rows, dim = stack.shape
+    M, R = q.M, _RHO_GRID.size
     pow_ = _RHO_GRID[:, None] ** np.arange(rows)[None, :]
     scaled = stack[:, None] * pow_[None, :, :, None]
-    # Per disc: (rho * dim, deg+1) @ (deg+1, M), as np.tensordot lays it out.
-    ops = np.ascontiguousarray(scaled.transpose(0, 1, 3, 2)).reshape(n, -1, rows)
-    bnds = np.matmul(ops, circle_powers(q.M, rows - 1))
-    bnds = bnds.reshape(n, _RHO_GRID.size, dim, q.M).transpose(0, 1, 3, 2)
-    fit = frame.fits(bnds)
-    out = scaled[np.arange(n), np.argmax(fit, axis=1)]
-    none = ~fit.any(axis=1)
-    out[none] = 0
-    out[none, 0] = stack[none, 0]
-    return out
+    cols = scaled.transpose(0, 2, 1, 3).reshape(n, rows, R * dim)
+    cand = np.empty((n, R, dim, M), dtype=complex)
+    stacked_boundaries(cols, M, out=cand.reshape(n, R * dim, M).transpose(0, 2, 1))
+    fit = frame.fits(cand.transpose(0, 1, 3, 2))
+    if bnds is None:
+        bnds = np.empty((n, dim, M), dtype=complex).transpose(0, 2, 1)
+    while True:
+        pick = np.argmax(fit, axis=1)
+        out = scaled[np.arange(n), pick]
+        none = ~fit.any(axis=1)
+        out[none] = 0
+        out[none, 0] = stack[none, 0]
+        stacked_boundaries(out, M, out=bnds)
+        bad = ~(frame.fits(bnds) | none)
+        if not bad.any():
+            return out
+        fit[bad, pick[bad]] = False
 
 
 def _score_stack(frame, q, trials):
@@ -228,9 +236,8 @@ def _score_stack(frame, q, trials):
     if frame.constraint is not None:
         out = np.flatnonzero(~frame.fits(stack.transpose(1, 2, 0)))
         if out.size:
-            fixed = _project(frame, q, arr[out])
             sub = np.empty((frame.dim, out.size, M), dtype=complex)
-            stacked_boundaries(fixed, M, out=sub.transpose(1, 2, 0))
+            fixed = _project(frame, q, arr[out], bnds=sub.transpose(1, 2, 0))
             stack[:, out] = sub
             for i, c in zip(out.tolist(), fixed):
                 coeffs[i] = c

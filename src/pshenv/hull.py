@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import AnalyticDisc, disc_from_json, disc_to_json
+from .disc import AnalyticDisc, complex_from_json, complex_to_json
+from .disc import disc_from_json, disc_to_json
 from .envelope import SearchBudget, envelope_at
 from .errors import SchemaMismatch
 from .functional import (
@@ -28,7 +29,7 @@ from .functional import (
     eval_field,
     parse_field,
 )
-from .space import DomainConstraint, SpaceModel
+from .space import DomainConstraint, SpaceModel, polydisc
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,7 +191,7 @@ def exceptional_nodes(K: CompactSet, nodes, U_radius: float):
 def default_window(K: CompactSet) -> DomainConstraint:
     """Polydisc around K's bounding ball with twice its radius."""
     center, radius = K.bounding_ball()
-    return DomainConstraint(center, np.full(K.ambient_dim, 2.0 * max(radius, 1e-9)))
+    return polydisc(K.ambient_dim, 2.0 * max(radius, 1e-9), center)
 
 
 def _window_holds(K: CompactSet, window: DomainConstraint) -> bool:
@@ -361,13 +362,13 @@ def bundled_psh_corpus(dim: int) -> list:
 def certificate_to_json(cert: HullCertificate) -> dict:
     return {
         "schema": "hull-certificate/1",
-        "x": [[float(z.real), float(z.imag)] for z in cert.x],
+        "x": complex_to_json(cert.x),
         "disc": disc_to_json(cert.disc),
         "U_radius": cert.U_radius,
         "exceptional_measure": cert.exceptional_measure,
         "M": cert.M,
         "window": {
-            "center": [[float(z.real), float(z.imag)] for z in cert.window.center],
+            "center": complex_to_json(cert.window.center),
             "radii": [float(r) for r in cert.window.radii],
         },
         "value": cert.value,
@@ -379,13 +380,12 @@ def certificate_from_json(obj: dict) -> HullCertificate:
     if obj.get("schema") != "hull-certificate/1":
         raise SchemaMismatch(f"unknown certificate schema {obj.get('schema')!r}")
     try:
-        x = np.array([complex(re, im) for re, im in obj["x"]])
         window = DomainConstraint(
-            np.array([complex(re, im) for re, im in obj["window"]["center"]]),
+            complex_from_json(obj["window"]["center"]),
             np.array([float(r) for r in obj["window"]["radii"]]),
         )
         return HullCertificate(
-            x=x,
+            x=complex_from_json(obj["x"]),
             disc=disc_from_json(obj["disc"]),
             U_radius=float(obj["U_radius"]),
             exceptional_measure=float(obj["exceptional_measure"]),

@@ -21,6 +21,7 @@ __all__ = [
     "BranchMap",
     "DomainConstraint",
     "SpaceModel",
+    "polydisc",
     "euclidean_space",
     "curve_space",
     "contains",
@@ -138,14 +139,23 @@ class SpaceModel:
         raise KeyError(f"no branch labelled {label!r}")
 
 
+def polydisc(dim: int, radius, center=None) -> DomainConstraint:
+    """The window |z_i - center_i| <= radius_i in C^dim.
+
+    A single radius applies to every coordinate and the center defaults to
+    the origin; any other number of radii is a ValueError.
+    """
+    r = np.atleast_1d(np.asarray(radius, dtype=float))
+    if r.size == 1:
+        r = np.full(dim, r[0])
+    if r.shape != (dim,):
+        raise ValueError(f"window radius needs 1 or {dim} values, got {r.size}")
+    return DomainConstraint(np.zeros(dim, complex) if center is None else center, r)
+
+
 def euclidean_space(ambient_dim, center=None, radii=None) -> SpaceModel:
     """C^N, optionally restricted to the polydisc |z_i - center_i| <= radii_i."""
-    constraint = None
-    if radii is not None:
-        if center is None:
-            center = np.zeros(ambient_dim, dtype=complex)
-        radii = np.broadcast_to(np.atleast_1d(np.asarray(radii, float)), (ambient_dim,))
-        constraint = DomainConstraint(np.asarray(center, complex), np.array(radii))
+    constraint = None if radii is None else polydisc(ambient_dim, radii, center)
     return SpaceModel("euclidean", ambient_dim, (), constraint)
 
 

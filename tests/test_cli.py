@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import json
 
@@ -342,3 +343,98 @@ def test_bad_budget_value_or_key_is_named(tmp_path, capsys, old, new, key):
     assert cli.main(["envelope", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
     assert key in capsys.readouterr().err
+
+
+ORACLE_CFG = """\
+[run]
+mode = oracle
+
+[oracle]
+expr = abs2(z1)
+n = 33
+mask = disc
+"""
+
+# A value no text reader rejects, but the run cannot use.
+_BAD_TEXT = {"mode": "x", "kind": "x", "expr": "frobnicate(z1)", "mask": "x",
+             "compare": "nope.json", "certificate": "nope.json"}
+
+
+def _base_config(section, tmp_path):
+    if section == "hull":
+        return HULL_CFG
+    if section == "oracle":
+        return ORACLE_CFG
+    if section == "verify":
+        return ("[run]\nmode = verify\n\n[verify]\n"
+                f"certificate = {tmp_path / 'none.json'}\nballs = 1+0j 0.3\n")
+    return ENVELOPE_CFG
+
+
+def _run_edited(tmp_path, text, section, **values):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    mode = cp["run"]["mode"]
+    if section not in cp:
+        cp.add_section(section)
+    for key, value in values.items():
+        if value is None:
+            cp.remove_option(section, key)
+        else:
+            cp[section][key] = value
+    path = tmp_path / "run.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return cli.main([mode, "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key.replace("*", "a"))
+    for section, spec in cli._SCHEMA.items() for key in spec.readers
+])
+def test_malformed_value_is_named(tmp_path, capsys, monkeypatch, section, key):
+    # Every key of the schema: a value its reader rejects, or for a text key
+    # one the run cannot use, exits 2 and names the key.
+    monkeypatch.chdir(tmp_path)
+    bad = _BAD_TEXT[key] if cli._SCHEMA[section].reader(key) is str else "x"
+    assert _run_edited(tmp_path, _base_config(section, tmp_path), section,
+                       **{key: bad}) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, values, key", [
+    ("space", {"center": "0"}, "center"),
+    ("space", {"kind": "curve", "dim": None, "branch.a": "0 1",
+               "center": "0"}, "center"),
+    ("space", {"radius": "1 2"}, "radius"),
+    ("space", {"dim": "2", "radius": "1 2 3"}, "radius"),
+    ("hull", {"window_center": "0"}, "window_center"),
+    ("hull", {"window_radius": "3 3"}, "radius"),
+    ("hull", {"balls": "1+0j 0.3+5j ; -1+0j 0.3"}, "balls"),
+    ("oracle", {"rect": "-1 1 -1"}, "rect"),
+])
+def test_inconsistent_values_are_named(tmp_path, capsys, section, values,
+                                       key):
+    # Values that were dropped or misread without a word: a center without
+    # a radius, a radius count other than 1 or the dimension, a complex ball
+    # radius, a short rect.
+    assert _run_edited(tmp_path, _base_config(section, tmp_path), section,
+                       **values) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stored", [
+    {"values": [1.0]},
+    {"points": [{"value": 0.5}]},
+    {"points": [{"x": [[0.5, 0.0]]}]},
+    {"points": [{"x": [[0.5, 0.0], [0.1, 0.0]], "value": 0.5}]},
+    [1, 2],
+])
+def test_compare_needs_a_results_file_in_one_variable(tmp_path, capsys,
+                                                      stored):
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps(stored))
+    assert _run_edited(tmp_path, ORACLE_CFG, "oracle",
+                       compare=str(path)) == 2
+    assert "compare" in capsys.readouterr().err

@@ -334,6 +334,54 @@ def test_stacked_repair_decides_as_one_by_one_at_the_wall():
     assert np.array_equal(fixed[1], edge * 0.999 ** np.arange(4)[:, None])
 
 
+def _at_the_slack_edge(c0, g, M):
+    # The largest scale s for which the rho = 0.999 candidate of the disc
+    # c0 + s * g, computed as one product over the whole rho grid, stays
+    # within the unit window's 1e-12 slack.
+    deg = g.shape[0] - 1
+    pow_ = _RHO_GRID[:, None] ** np.arange(deg + 1)
+
+    def top(s):
+        c = s * g
+        c[0] = c0
+        bnds = np.tensordot(c[None] * pow_[..., None], circle_powers(M, deg),
+                            axes=([1], [0]))
+        return np.abs(bnds[0]).max()
+
+    lo, hi = 0.0, 1.0
+    while top(hi) <= 1.0 + 1e-12:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if top(mid) <= 1.0 + 1e-12 else (lo, mid)
+    c = lo * g
+    c[0] = c0
+    return c
+
+
+def test_window_repair_keeps_the_witness_inside_on_its_own_bits():
+    # Trials whose rho = 0.999 repair fits the window by less than the
+    # rounding gap between the repair's candidate product and the repaired
+    # disc's own boundary: the witness must fit on the values it reports,
+    # and its value must be poisson_functional's.
+    q = QuadratureSpec(M=128)
+    space = euclidean_space(1, [0j], [1.0])
+    u = parse_field("-abs2(z1)")
+    frame = _Frame(u, space)
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        g = rng.normal(size=(17, 1)) + 1j * rng.normal(size=(17, 1))
+        trial = _at_the_slack_edge(0.5 * rng.random() - 0.25, g, q.M)
+        assert not frame.fits(boundary_from_coeffs(trial, q.M))
+        coeffs, values, _ = _score_stack(frame, q, [trial])
+        witness = AnalyticDisc(coeffs[0])
+        assert space.domain_constraint.satisfied(
+            witness.boundary_values(q.M), slack=1e-12).all()
+        assert values[0] == poisson_functional(u, witness, q)
+
+
 def test_stacked_trials_raise_only_where_one_by_one_does():
     # The second trial's boundary sits on the pole of the field.  Scored in
     # order, the first trial wins before the second is evaluated; with a

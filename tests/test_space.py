@@ -9,6 +9,7 @@ from pshenv.space import (
     curve_space,
     euclidean_space,
     lift_point,
+    polydisc,
     singular_locus_hint,
 )
 
@@ -139,6 +140,21 @@ def test_windowed_space():
     assert X.domain_constraint is not None
     assert contains(X, np.array([1.0 + 0j]))
     assert not contains(X, np.array([3.0 + 0j]))
+
+
+def test_polydisc_window():
+    # One radius serves every coordinate, the center defaults to the origin,
+    # and any other radius count is refused by name.
+    win = polydisc(2, 0.5)
+    assert np.array_equal(win.radii, [0.5, 0.5])
+    assert np.array_equal(win.center, [0j, 0j])
+    win = polydisc(2, [1.0, 2.0], [1j, 0])
+    assert np.array_equal(win.radii, [1.0, 2.0])
+    assert np.array_equal(win.center, [1j, 0j])
+    with pytest.raises(ValueError, match="radius"):
+        polydisc(2, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="radius"):
+        euclidean_space(3, radii=[1.0, 2.0])
 
 
 def test_irreducible_flag():
