@@ -862,49 +862,38 @@ def check_submean(
     semicontinuity show up here through discs crossing the offending point.
     """
     qq = q if q is not None else QuadratureSpec()
-    by_branch = {}
-    euclid = None
-    if space.kind == "curve":
+    # Each branch of a curve, and C^1 as the label None, is a slice that is
+    # interpolated in the disc's parameter; C^N grids are looked up exactly.
+    lookup = None
+    if space.kind == "curve" or space.ambient_dim == 1:
+        by_label = {}
         for p, v in zip(estimate.points, estimate.values):
-            for label, t in lift_point(space, p):
-                by_branch.setdefault(label, ([], []))
-                by_branch[label][0].append(t)
-                by_branch[label][1].append(v)
-        interps = {
+            lifts = lift_point(space, p) if space.kind == "curve" else [(None, p[0])]
+            for label, t in lifts:
+                ts, vs = by_label.setdefault(label, ([], []))
+                ts.append(t)
+                vs.append(v)
+        slices = {
             label: _SliceInterp(np.asarray(ts), vs)
-            for label, (ts, vs) in by_branch.items()
+            for label, (ts, vs) in by_label.items()
         }
-    elif space.ambient_dim == 1:
-        euclid = _SliceInterp(
-            np.asarray([p[0] for p in estimate.points]), estimate.values
-        )
     else:
-        euclid = _GridLookup(estimate.points, estimate.values)
+        lookup = _GridLookup(estimate.points, estimate.values)
 
     reports = []
     for idx, f in enumerate(trial_discs):
         if space.kind == "curve" and f.branch is None:
             raise ValueError("trial discs on a curve space must carry a branch")
-        if f.branch is not None:
-            if f.branch.label not in interps:
-                raise InterpolationOutOfRange(
-                    f"no grid values on branch {f.branch.label!r}"
-                )
-            terp = interps[f.branch.label]
-            ring = boundary_from_coeffs(f.coeffs, qq.M)[:, 0]
-            center = f.coeffs[0, 0]
-            vc = float(terp(np.array([center]))[0])
-            boundary = terp(ring)
+        if lookup is not None:
+            vc = float(lookup([f.center()])[0])
+            boundary = lookup(list(f.boundary_values(qq.M)))
         else:
-            terp = euclid
-            ring = f.boundary_values(qq.M)
-            center = f.center()
-            if space.ambient_dim == 1:
-                vc = float(terp(np.array([center[0]]))[0])
-                boundary = terp(ring[:, 0])
-            else:
-                vc = float(terp([center])[0])
-                boundary = terp(list(ring))
+            label = f.branch.label if f.branch is not None else None
+            if label not in slices:
+                raise InterpolationOutOfRange(f"no grid values on branch {label!r}")
+            terp = slices[label]
+            vc = float(terp(np.array([f.coeffs[0, 0]]))[0])
+            boundary = terp(boundary_from_coeffs(f.coeffs, qq.M)[:, 0])
         avg = float(boundary_means(np.asarray(boundary)[None])[0][0])
         if vc > avg + tol:
             reports.append(

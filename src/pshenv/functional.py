@@ -1,12 +1,24 @@
 """Scalar fields on ambient space and boundary-average functionals.
 
 Fields are expression trees over the ambient coordinates, evaluated
-vectorized over sample points.  Values live in R union {-inf}: log 0 is
--inf (nonpositive arguments fold into the same convention), -inf + finite
-is -inf, min/max propagate it, and any combination that would produce NaN
-raises DomainError instead.  Characteristic functions of balls/boxes use
-strict inequalities, so they are indicators of open sets and boundary
-points take the larger value once negated.
+vectorized over sample points.  Data nodes hold constants, coordinates and
+indicators of balls, boxes and distance neighbourhoods; BranchCompose
+evaluates a subtree through a branch map.  Every other node is an ``Op``,
+whose name selects a row of the operator table ``_OPS``: the arity (0 for
+min/max, which take two or more), whether the arguments must be real,
+whether the result is always real or real when every argument is, and the
+function that computes it from the points and the argument nodes.  That
+function evaluates the arguments itself, so each operator fixes their
+order: division tests its denominator for zeros before it evaluates the
+numerator.
+
+Values live in R union {-inf}: log 0 is -inf (nonpositive arguments fold
+into the same convention), -inf + finite is -inf, min/max propagate it,
+and any combination that would produce NaN raises DomainError instead.
+exp, abs2 and the arithmetic overflow to +-inf without a warning.
+Characteristic functions of balls/boxes use strict inequalities, so they
+are indicators of open sets and boundary points take the larger value
+once negated.
 
 The Poisson functional of a disc is the plain average of the field over
 equispaced boundary nodes (trapezoid rule on a periodic integrand, so
@@ -18,6 +30,8 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,9 +39,8 @@ from .errors import DomainError
 from .space import BranchMap
 
 __all__ = [
-    "FieldNode", "Const", "Coord", "Re", "Im", "Abs", "Abs2", "Log", "Exp",
-    "Neg", "Add", "Sub", "Mul", "Div", "Min", "Max", "BallIndicator",
-    "BoxIndicator", "DistanceIndicator", "BranchCompose", "ScalarField",
+    "FieldNode", "Const", "Coord", "Op", "BallIndicator", "BoxIndicator",
+    "DistanceIndicator", "BranchCompose", "ScalarField",
     "pushforward_field", "parse_field", "eval_field", "QuadratureSpec",
     "boundary_means", "poisson_functional", "arc_functional",
     "decreasing_approximation",
@@ -41,18 +54,6 @@ class FieldNode:
 
     def ev(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-def _nan_guard(out, what: str):
-    if np.isnan(out).any():
-        raise DomainError(f"{what} produced NaN (undefined -inf combination?)")
-    return out
-
-
-def _require_real(children, who: str):
-    for ch in children:
-        if not ch.is_real:
-            raise ValueError(f"{who} requires real-valued arguments")
 
 
 @dataclass(frozen=True)
@@ -76,171 +77,107 @@ class Coord(FieldNode):
         return pts[:, self.index]
 
 
-@dataclass(frozen=True)
-class Re(FieldNode):
-    a: FieldNode
-
-    def ev(self, pts):
-        return np.real(self.a.ev(pts)).astype(float, copy=False)
-
-
-@dataclass(frozen=True)
-class Im(FieldNode):
-    a: FieldNode
-
-    def ev(self, pts):
-        return np.imag(self.a.ev(pts)).astype(float, copy=False)
+def _log(pts, a):
+    v = a.ev(pts)
+    out = np.full_like(v, -np.inf)
+    np.log(v, out=out, where=v > 0)
+    return out
 
 
-@dataclass(frozen=True)
-class Abs(FieldNode):
-    a: FieldNode
-
-    def ev(self, pts):
-        return np.abs(self.a.ev(pts))
+def _exp(pts, a):
+    with np.errstate(over="ignore"):
+        return np.exp(a.ev(pts))
 
 
-@dataclass(frozen=True)
-class Abs2(FieldNode):
-    a: FieldNode
-
-    def ev(self, pts):
-        v = self.a.ev(pts)
+def _abs2(pts, a):
+    v = a.ev(pts)
+    # A huge v overflows to inf, and an infinite complex v puts NaN into
+    # the imaginary part that is discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
         return (v * np.conj(v)).real if np.iscomplexobj(v) else v * v
 
 
-@dataclass(frozen=True)
-class Log(FieldNode):
-    a: FieldNode
+def _arith(what: str, combine):
+    """Binary arithmetic: overflow gives +-inf, NaN raises DomainError."""
 
-    def __post_init__(self):
-        _require_real((self.a,), "log")
+    def fn(pts, a, b):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = combine(pts, a, b)
+            if np.isnan(out).any():
+                raise DomainError(f"{what} produced NaN (undefined -inf combination?)")
+            return out
 
-    def ev(self, pts):
-        v = self.a.ev(pts)
-        out = np.full_like(v, -np.inf)
-        pos = v > 0
-        np.log(v, out=out, where=pos)
-        return out
+    return fn
 
 
-@dataclass(frozen=True)
-class Exp(FieldNode):
-    a: FieldNode
-
-    def __post_init__(self):
-        _require_real((self.a,), "exp")
-
-    def ev(self, pts):
-        with np.errstate(over="ignore"):
-            return np.exp(self.a.ev(pts))
+def _quotient(pts, a, b):
+    den = b.ev(pts)
+    if np.any(den == 0):
+        raise DomainError("division by zero inside field expression")
+    return a.ev(pts) / den
 
 
-def _binary_is_real(a, b):
-    return a.is_real and b.is_real
+def _part(take):
+    return lambda pts, a: take(a.ev(pts)).astype(float, copy=False)
 
 
-@dataclass(frozen=True)
-class Neg(FieldNode):
-    a: FieldNode
-
-    @property
-    def is_real(self):
-        return self.a.is_real
-
-    def ev(self, pts):
-        return -self.a.ev(pts)
+def _fold(ufunc):
+    return lambda pts, *args: reduce(ufunc, (a.ev(pts) for a in args))
 
 
-@dataclass(frozen=True)
-class Add(FieldNode):
-    a: FieldNode
-    b: FieldNode
+class _OpSpec(NamedTuple):
+    arity: int  # 0 for two or more
+    real_args: bool  # every argument must be real-valued
+    real: bool  # the result is real; if False, real when every argument is
+    fn: Callable  # (pts, *argument nodes) -> values
 
-    @property
-    def is_real(self):
-        return _binary_is_real(self.a, self.b)
 
-    def ev(self, pts):
-        with np.errstate(invalid="ignore"):
-            return _nan_guard(self.a.ev(pts) + self.b.ev(pts), "addition")
+_OPS = {
+    "re": _OpSpec(1, False, True, _part(np.real)),
+    "im": _OpSpec(1, False, True, _part(np.imag)),
+    "abs": _OpSpec(1, False, True, lambda pts, a: np.abs(a.ev(pts))),
+    "abs2": _OpSpec(1, False, True, _abs2),
+    "log": _OpSpec(1, True, True, _log),
+    "exp": _OpSpec(1, True, True, _exp),
+    "neg": _OpSpec(1, False, False, lambda pts, a: -a.ev(pts)),
+    "+": _OpSpec(2, False, False,
+                 _arith("addition", lambda pts, a, b: a.ev(pts) + b.ev(pts))),
+    "-": _OpSpec(2, False, False,
+                 _arith("subtraction", lambda pts, a, b: a.ev(pts) - b.ev(pts))),
+    "*": _OpSpec(2, False, False,
+                 _arith("multiplication", lambda pts, a, b: a.ev(pts) * b.ev(pts))),
+    "/": _OpSpec(2, False, False, _arith("division", _quotient)),
+    "min": _OpSpec(0, True, True, _fold(np.minimum)),
+    "max": _OpSpec(0, True, True, _fold(np.maximum)),
+}
 
 
 @dataclass(frozen=True)
-class Sub(FieldNode):
-    a: FieldNode
-    b: FieldNode
+class Op(FieldNode):
+    """Operator ``name`` of the _OPS table applied to the argument nodes."""
 
-    @property
-    def is_real(self):
-        return _binary_is_real(self.a, self.b)
-
-    def ev(self, pts):
-        with np.errstate(invalid="ignore"):
-            return _nan_guard(self.a.ev(pts) - self.b.ev(pts), "subtraction")
-
-
-@dataclass(frozen=True)
-class Mul(FieldNode):
-    a: FieldNode
-    b: FieldNode
-
-    @property
-    def is_real(self):
-        return _binary_is_real(self.a, self.b)
-
-    def ev(self, pts):
-        with np.errstate(invalid="ignore"):
-            return _nan_guard(self.a.ev(pts) * self.b.ev(pts), "multiplication")
-
-
-@dataclass(frozen=True)
-class Div(FieldNode):
-    a: FieldNode
-    b: FieldNode
-
-    @property
-    def is_real(self):
-        return _binary_is_real(self.a, self.b)
-
-    def ev(self, pts):
-        den = self.b.ev(pts)
-        if np.any(den == 0):
-            raise DomainError("division by zero inside field expression")
-        with np.errstate(invalid="ignore"):
-            return _nan_guard(self.a.ev(pts) / den, "division")
-
-
-@dataclass(frozen=True)
-class Min(FieldNode):
+    name: str
     args: tuple
 
     def __post_init__(self):
-        if len(self.args) < 2:
-            raise ValueError("min needs at least two arguments")
-        _require_real(self.args, "min")
+        spec = _OPS.get(self.name)
+        if spec is None:
+            raise ValueError(f"unknown operator {self.name!r}")
+        if spec.arity == 0 and len(self.args) < 2:
+            raise ValueError(f"{self.name} needs at least two arguments")
+        if spec.arity and len(self.args) != spec.arity:
+            raise ValueError(
+                f"{self.name} takes {spec.arity} argument(s), got {len(self.args)}"
+            )
+        if spec.real_args and not all(a.is_real for a in self.args):
+            raise ValueError(f"{self.name} requires real-valued arguments")
+
+    @property
+    def is_real(self):
+        return _OPS[self.name].real or all(a.is_real for a in self.args)
 
     def ev(self, pts):
-        out = self.args[0].ev(pts)
-        for a in self.args[1:]:
-            out = np.minimum(out, a.ev(pts))
-        return out
-
-
-@dataclass(frozen=True)
-class Max(FieldNode):
-    args: tuple
-
-    def __post_init__(self):
-        if len(self.args) < 2:
-            raise ValueError("max needs at least two arguments")
-        _require_real(self.args, "max")
-
-    def ev(self, pts):
-        out = self.args[0].ev(pts)
-        for a in self.args[1:]:
-            out = np.maximum(out, a.ev(pts))
-        return out
+        return _OPS[self.name].fn(pts, *self.args)
 
 
 @dataclass(frozen=True)
@@ -333,7 +270,7 @@ def decreasing_approximation(u: ScalarField, k: float) -> ScalarField:
     """Truncation max(u, -k); decreases to u pointwise as k grows."""
     if k < 0:
         raise ValueError("truncation level k must be >= 0")
-    return ScalarField(Max((u.expr, Const(-float(k)))))
+    return ScalarField(Op("max", (u.expr, Const(-float(k)))))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +282,7 @@ _TOKEN = _re.compile(
     r"|(?P<op>[-+*/(),;]))"
 )
 
-_FUNCS1 = {"re": Re, "im": Im, "abs": Abs, "abs2": Abs2, "log": Log, "exp": Exp}
+_FUNCS = ("re", "im", "abs", "abs2", "log", "exp", "min", "max")
 
 
 class _Parser:
@@ -397,26 +334,31 @@ class _Parser:
             raise ValueError(f"trailing input at token {self.peek()[1]!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+    def items(self, item, sep: str = ","):
+        """item (sep item)*, as a list."""
+        out = [item()]
+        while self.peek() == ("op", sep):
+            self.next()
+            out.append(item())
+        return out
+
+    def chain(self, ops, operand):
+        """operand (op operand)* for op in ops, folded to the left."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = Op(self.next()[1], (node, operand()))
         return node
 
+    def expr(self):
+        return self.chain(("+", "-"), self.term)
+
     def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+        return self.chain(("*", "/"), self.unary)
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.next()
-            return Neg(self.unary())
+            return Op("neg", (self.unary(),))
         if self.peek() == ("op", "+"):
             self.next()
             return self.unary()
@@ -433,10 +375,7 @@ class _Parser:
         return sign * val
 
     def number_list(self, stop_ops=(";", ")")):
-        vals = [self.number()]
-        while self.peek() == ("op", ","):
-            self.next()
-            vals.append(self.number())
+        vals = self.items(self.number)
         kind, val = self.peek()
         if kind != "op" or val not in stop_ops:
             raise ValueError(f"expected one of {stop_ops}, got {val!r}")
@@ -459,19 +398,11 @@ class _Parser:
             if idx < 1:
                 raise ValueError("coordinates are numbered from z1")
             return Coord(idx - 1)
-        if name in _FUNCS1:
+        if name in _FUNCS:
             self.expect("(")
-            node = _FUNCS1[name](self.expr())
+            args = self.items(self.expr)
             self.expect(")")
-            return node
-        if name in ("min", "max"):
-            self.expect("(")
-            args = [self.expr()]
-            while self.peek() == ("op", ","):
-                self.next()
-                args.append(self.expr())
-            self.expect(")")
-            return (Min if name == "min" else Max)(tuple(args))
+            return Op(name, tuple(args))
         if name == "indicator":
             self.expect("(")
             node = self.set_descriptor()
@@ -491,20 +422,13 @@ class _Parser:
             self.expect(";")
             radius = self.number()
             self.expect(")")
-            center = tuple(complex(nums[2 * i], nums[2 * i + 1])
-                           for i in range(len(nums) // 2))
+            center = tuple(complex(re, im) for re, im in zip(nums[::2], nums[1::2]))
             return BallIndicator(center, radius)
-        groups = [self.number_list(stop_ops=(";", ")"))]
-        while self.peek() == ("op", ";"):
-            self.next()
-            groups.append(self.number_list(stop_ops=(";", ")")))
+        groups = self.items(self.number_list, ";")
         self.expect(")")
-        bounds = []
-        for g in groups:
-            if len(g) != 4:
-                raise ValueError("each box coordinate needs re_lo, re_hi, im_lo, im_hi")
-            bounds.append(tuple(g))
-        return BoxIndicator(tuple(bounds))
+        if any(len(g) != 4 for g in groups):
+            raise ValueError("each box coordinate needs re_lo, re_hi, im_lo, im_hi")
+        return BoxIndicator(tuple(tuple(g) for g in groups))
 
 
 def parse_field(text: str) -> ScalarField:

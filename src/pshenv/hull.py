@@ -22,12 +22,13 @@ from .envelope import SearchBudget, envelope_at
 from .errors import SchemaMismatch
 from .functional import (
     DistanceIndicator,
-    Neg,
+    Op,
     QuadratureSpec,
     ScalarField,
     boundary_means,
     eval_field,
     parse_field,
+    poisson_functional,
 )
 from .space import DomainConstraint, SpaceModel, polydisc
 
@@ -173,7 +174,7 @@ class NotFound:
 
 def membership_field(K: CompactSet, U_radius: float) -> ScalarField:
     """-1 on the open neighborhood {dist(.,K) < U_radius}, 0 elsewhere."""
-    return ScalarField(Neg(DistanceIndicator(K.distance, float(U_radius))))
+    return ScalarField(Op("neg", (DistanceIndicator(K.distance, float(U_radius)),)))
 
 
 def exceptional_nodes(K: CompactSet, nodes, U_radius: float):
@@ -279,7 +280,16 @@ def verify_certificate(
     second inequality cannot fail through under-sampling).  A failing chain
     flags either a bad certificate or a test field that is not
     plurisubharmonic.
+
+    The certificate's value and exceptional measure are recomputed at cert.M
+    too; ``all_ok`` also needs both to equal the stored numbers bit for bit.
     """
+    value = poisson_functional(
+        membership_field(K, cert.U_radius), cert.disc, QuadratureSpec(M=cert.M)
+    )
+    _, exceptional = exceptional_nodes(
+        K, cert.disc.boundary_values(cert.M), cert.U_radius
+    )
     M = q.M if q is not None else cert.M
     nodes = cert.disc.boundary_values(M)
     bad, _ = exceptional_nodes(K, nodes, cert.U_radius)
@@ -318,11 +328,17 @@ def verify_certificate(
                 "ok": bool(ok),
             }
         )
+    value_match = value == cert.value
+    exceptional_match = exceptional == cert.exceptional_measure
     return {
-        "all_ok": all(e["ok"] for e in entries),
+        "all_ok": value_match and exceptional_match and all(e["ok"] for e in entries),
         "exceptional_fraction": bad_frac,
         "M": M,
         "fields": entries,
+        "value_match": value_match,
+        "stored_value": cert.value,
+        "recomputed_value": value,
+        "exceptional_match": exceptional_match,
     }
 
 

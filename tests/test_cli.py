@@ -232,6 +232,23 @@ def test_counterexample_reports_violation(tmp_path):
     assert (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("mode, text", [
+    ("counterexample", "[run]\nmode = counterexample\n"),
+    ("envelope", ENVELOPE_CFG),
+])
+def test_manifest_file_agrees_with_results_manifest(tmp_path, mode, text):
+    # counterexample searches with its scenario's seed and has no [budget]
+    # section; both manifests of the run must still carry that seed.
+    cfg = write(tmp_path / "run.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    inner = json.loads((out / "results.json").read_text())["manifest"]
+    assert inner["seed"] is not None
+    assert {k: manifest[k] for k in inner} == inner
+    assert set(manifest) - set(inner) == {"wall_time_s", "threads"}
+
+
 def test_oracle_command_writes_grid(tmp_path):
     cfg = write(tmp_path / "oracle.cfg", """\
 [run]

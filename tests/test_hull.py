@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -165,6 +166,25 @@ def test_verify_certificate_flags_non_psh_field():
     assert not report["all_ok"]
     entry = report["fields"][0]
     assert entry["value_at_center"] > entry["disc_average"] + 1e-6
+
+
+def test_verify_certificate_refuses_forged_value_and_measure():
+    cert = two_ball_certificate()
+    assert cert.exceptional_measure > 0
+    forgeries = [
+        dataclasses.replace(cert, value=-1.0),
+        dataclasses.replace(cert, exceptional_measure=0.0),
+        dataclasses.replace(cert, value=-1.0, exceptional_measure=0.0),
+    ]
+    for forged in forgeries:
+        report = verify_certificate(forged, TWO_BALLS, bundled_psh_corpus(1))
+        assert all(e["ok"] for e in report["fields"])
+        assert not report["all_ok"]
+        assert report["value_match"] == (forged.value == cert.value)
+        assert report["exceptional_match"] == (
+            forged.exceptional_measure == cert.exceptional_measure)
+        assert report["stored_value"] == forged.value
+        assert report["recomputed_value"] == cert.value
 
 
 def test_corpus_contents():
