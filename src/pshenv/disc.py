@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegreeOverflow, IllConditioned
 from .functional import arc_functional
@@ -243,7 +242,7 @@ def fit_laurent(family: BoundaryFamily, m: int, n_terms: int, deg_a: int):
 
     Samples lam(zeta_j, z) = g_j(z) - f(zeta_j) over the family's angles and a
     z-grid of roots of unity, and solves for the A_j coefficient polynomials
-    with a column-pivoted orthogonal factorization; the z-grid has
+    by one SVD-based least-squares solve; the z-grid has
     max(2 * n_terms, 8) points.  Returns
     ``(LaurentFamily, residual)`` with the achieved sup-norm residual on the
     sample grid.  Raises IllConditioned when the condition estimate of the
@@ -267,16 +266,14 @@ def fit_laurent(family: BoundaryFamily, m: int, n_terms: int, deg_a: int):
     design = (z_pow[None, :, :, None] * zeta_pow[:, None, None, :])
     design = design.reshape(B * L, n_terms * (deg_a + 1))
 
-    sing = np.linalg.svd(design, compute_uv=False)
+    rhs = data.reshape(B * L, width)
+    sol, _, _, sing = np.linalg.lstsq(design, rhs, rcond=None)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
     if cond * cond > COND_LIMIT:
         raise IllConditioned(
             f"normal equations condition estimate {cond * cond:.3e} "
             f"exceeds {COND_LIMIT:.3e}"
         )
-
-    rhs = data.reshape(B * L, width)
-    sol, _, _, _ = scipy.linalg.lstsq(design, rhs, lapack_driver="gelsy")
     lam = LaurentFamily(m, sol.reshape(n_terms, deg_a + 1, width))
     resid = float(np.max(np.abs(design @ sol - rhs))) if rhs.size else 0.0
     return lam, resid

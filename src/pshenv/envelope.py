@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.interpolate import LinearNDInterpolator
 
 from .disc import (
     AnalyticDisc,
@@ -45,7 +44,7 @@ from .functional import (
     boundary_means,
     pushforward_field,
 )
-from .space import SpaceModel, lift_point, singular_locus_hint
+from .space import SpaceModel, is_regular, lift_point
 
 # A candidate replaces the incumbent only when it wins by this much; keeps
 # the accept/reject decisions stable under last-ulp evaluation noise.
@@ -794,6 +793,10 @@ class _SliceInterp:
         _, s_svd, vt = np.linalg.svd(spread, full_matrices=False)
         scale = max(1.0, float(s_svd[0]))
         if len(s_svd) > 1 and s_svd[1] > 1e-9 * scale:
+            # The only scipy use in the package: importing it here keeps
+            # `import pshenv` from loading scipy.
+            from scipy.interpolate import LinearNDInterpolator
+
             self._nd = LinearNDInterpolator(pts, self.values)
             self._line = None
         else:
@@ -908,11 +911,6 @@ def check_submean(
     return reports
 
 
-# Grid points this close (max-norm) to a singular-locus hint are left out of
-# the shells of upper_regularize.
-_SINGULAR_TOL = 1e-7
-
-
 def upper_regularize(
     estimate: EnvelopeEstimate,
     space: SpaceModel,
@@ -923,9 +921,9 @@ def upper_regularize(
 
     Returns (value, report) where report maps each radius to the max of the
     estimate over grid points within that distance of p, excluding p itself
-    and (on curves) anything within _SINGULAR_TOL of the singular-locus hint;
-    value is the max at the smallest radius.  Raises EmptyShell when a shell
-    contains no usable grid point.
+    and (on curves) every point that ``is_regular`` rejects; value is the max
+    at the smallest radius.  Raises EmptyShell when a shell contains no
+    usable grid point.
     """
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     radii = sorted(float(r) for r in radii)
@@ -936,8 +934,7 @@ def upper_regularize(
     dist = np.sqrt(np.sum(np.abs(pts - p[None, :]) ** 2, axis=1))
     keep = dist > 1e-12
     if space.kind == "curve":
-        for s in singular_locus_hint(space):
-            keep &= np.max(np.abs(pts - s[None, :]), axis=1) > _SINGULAR_TOL
+        keep &= np.array([is_regular(space, x) for x in pts])
     report = {}
     for r in radii:
         shell = keep & (dist <= r)

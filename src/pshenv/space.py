@@ -4,8 +4,11 @@ A space is either a euclidean domain in C^N (optionally restricted to a
 polydisc window) or a curve presented by finitely many polynomial branch
 maps t -> C^N.  Branch maps play the role of a normalization: membership,
 lifting, and envelope searches on a curve all reduce to the parameter line.
-Seminormality of the presented curve is the caller's responsibility; nothing
-here checks it.
+Each lift of a point is one local germ of the curve through it, so p is
+locally irreducible when ``len(lift_point(space, p)) == 1``; ``is_regular``
+asks in addition that the branch be immersed at that lift.  Whether the
+presentation is a normalization (distinct parameters of a branch give
+distinct germs) is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ __all__ = [
     "curve_space",
     "contains",
     "lift_point",
-    "singular_locus_hint",
+    "is_regular",
 ]
 
 _ROOT_CLUSTER_TOL = 1e-9
+_LIFT_TOL = 1e-9
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -128,10 +132,6 @@ class SpaceModel:
         elif self.branches:
             raise ValueError("euclidean space takes no branch maps")
 
-    @property
-    def irreducible(self) -> bool:
-        return self.kind == "euclidean" or len(self.branches) <= 1
-
     def branch(self, label: str) -> BranchMap:
         for b in self.branches:
             if b.label == label:
@@ -221,7 +221,7 @@ def _branch_lifts(branch: BranchMap, p, tol: float) -> list:
     return hits
 
 
-def contains(space: SpaceModel, p, tol: float = 1e-9) -> bool:
+def contains(space: SpaceModel, p, tol: float = _LIFT_TOL) -> bool:
     """Whether p lies on the space (and inside its window, if any)."""
     p = _as_point(space, p)
     if space.domain_constraint is not None:
@@ -232,7 +232,7 @@ def contains(space: SpaceModel, p, tol: float = 1e-9) -> bool:
     return any(_branch_lifts(b, p, tol) for b in space.branches)
 
 
-def lift_point(space: SpaceModel, p, tol: float = 1e-9) -> list:
+def lift_point(space: SpaceModel, p, tol: float = _LIFT_TOL) -> list:
     """All branch preimages of p as (label, parameter) pairs.
 
     Raises PointNotOnSpace when no branch reproduces p within tol.  Points on
@@ -251,149 +251,19 @@ def lift_point(space: SpaceModel, p, tol: float = 1e-9) -> list:
     return lifts
 
 
-# ---------------------------------------------------------------------------
-# Singular locus hint: derivative zeros, cross/self intersections.
+def is_regular(space: SpaceModel, p) -> bool:
+    """Whether the curve is smooth at p, judged by p's own lifts.
 
-def _poly2_eval_s(P, t):
-    """Bivariate coeff array P[a,b] (t^a s^b) evaluated at scalar t -> poly in s."""
-    tp = t ** np.arange(P.shape[0])
-    return _trim(tp @ P)
-
-
-def _sylvester_det(p, q) -> complex:
-    n, m = len(p) - 1, len(q) - 1
-    if n < 1 or m < 1:
-        # A constant equation: resultant degenerates; treat nonzero constant
-        # as "no common root" and zero constant as identically solvable.
-        const = p if n < 1 else q
-        return complex(const[0]) ** max(m, n, 1)
-    S = np.zeros((n + m, n + m), dtype=complex)
-    for i in range(m):
-        S[i, i : i + n + 1] = p[::-1]
-    for i in range(n):
-        S[m + i, i : i + m + 1] = q[::-1]
-    return complex(np.linalg.det(S))
-
-
-def _resultant_t_roots(P, Q) -> list:
-    """Roots in t of Res_s(P, Q) for bivariate coeff arrays, by sampling.
-
-    Evaluates the resultant at enough sample points on a circle and
-    interpolates; degree bound deg_t(P)*deg_s(Q) + deg_t(Q)*deg_s(P).
+    p is regular when it has exactly one lift and, at that parameter, some
+    component of the branch has a derivative of modulus above lift_point's
+    tolerance.  Several lifts mean several local germs through p (a node, a
+    tangency, a crossing); a single lift with a vanishing derivative is a
+    cusp.  Raises NotApplicable on euclidean spaces and PointNotOnSpace for
+    points off the curve.
     """
-    dtP, dsP = P.shape[0] - 1, P.shape[1] - 1
-    dtQ, dsQ = Q.shape[0] - 1, Q.shape[1] - 1
-    bound = dtP * dsQ + dtQ * dsP
-    if bound < 1:
-        return []
-    K = bound + 1
-    samples = 1.37 * np.exp(2j * np.pi * (np.arange(K) + 0.31) / K)
-    vals = np.array([_sylvester_det(_poly2_eval_s(P, t), _poly2_eval_s(Q, t))
-                     for t in samples])
-    if np.max(np.abs(vals)) <= 1e-12:
-        return []  # resultant vanishes identically; no isolated solutions
-    V = np.vander(samples, K, increasing=True)
-    coeffs = np.linalg.solve(V, vals)
-    return _cluster(npoly.polyroots(_trim(coeffs)))
-
-
-def _pair_system(b1: BranchMap, b2: BranchMap) -> list:
-    """Coeff arrays for b1_i(t) - b2_i(s), one per ambient coordinate."""
-    eqs = []
-    for c1, c2 in zip(b1.components, b2.components):
-        P = np.zeros((len(c1), len(c2)), dtype=complex)
-        P[:, 0] += c1
-        P[0, :] -= c2
-        eqs.append(P)
-    return eqs
-
-
-def _divided_difference_system(b: BranchMap) -> list:
-    """Coeff arrays for (b_i(t) - b_i(s)) / (t - s)."""
-    eqs = []
-    for c in b.components:
-        d = len(c) - 1
-        if d < 1:
-            continue
-        P = np.zeros((d, d), dtype=complex)
-        for k in range(1, d + 1):
-            for a in range(k):
-                P[a, k - 1 - a] += c[k]
-        eqs.append(P)
-    return eqs
-
-
-def _solve_pair(eqs, verify, tol: float) -> list:
-    """Solutions (t, s) of a bivariate polynomial system, brute elimination."""
-    t_cands = []
-    # Equations independent of s pin t directly.
-    direct = [P for P in eqs if P.shape[1] == 1 and P.shape[0] > 1]
-    in_s = [P for P in eqs if P.shape[1] > 1]
-    if direct:
-        t_cands = _cluster(npoly.polyroots(_trim(direct[0][:, 0])))
-    elif len(in_s) >= 2:
-        t_cands = _resultant_t_roots(in_s[0], in_s[1])
-    if not t_cands or not in_s:
-        return []
-    sols = []
-    for t in t_cands:
-        s_poly = _poly2_eval_s(in_s[0], t)
-        if len(s_poly) < 2:
-            continue
-        for s in _cluster(npoly.polyroots(s_poly)):
-            if verify(t, s, tol):
-                sols.append((complex(t), complex(s)))
-    return sols
-
-
-def singular_locus_hint(space: SpaceModel, tol: float = 1e-7) -> list:
-    """Candidate singular ambient points of a curve space.
-
-    Collects branch-derivative zeros, pairwise branch intersections, and
-    self-intersections (via divided differences).  This is a hint: points are
-    candidates found by resultant/root computations, deduplicated, in a
-    deterministic order.  Raises NotApplicable on euclidean spaces.
-    """
-    if space.kind != "curve":
-        raise NotApplicable("singular_locus_hint applies to curve spaces only")
-    points = []
-
-    def push(p):
-        p = np.asarray(p, dtype=complex)
-        for q in points:
-            if np.max(np.abs(p - q)) <= 10 * tol * max(1.0, float(np.max(np.abs(q)))):
-                return
-        points.append(p)
-
-    for b in space.branches:
-        derivs = [_trim(npoly.polyder(c)) for c in b.components]
-        pivot = next((d for d in derivs if len(d) > 1 or abs(d[0]) > 0), None)
-        if pivot is None or len(pivot) == 1:
-            # All derivative components constant; a zero requires them all ~ 0.
-            if all(abs(d[0]) <= tol for d in derivs):
-                pass  # degenerate presentation; nothing isolated to report
-        else:
-            for t in _cluster(npoly.polyroots(pivot)):
-                if all(abs(npoly.polyval(t, d)) <= tol for d in derivs):
-                    push(b.eval(t))
-
-    if space.ambient_dim >= 2:
-        for b in space.branches:
-            eqs = _divided_difference_system(b)
-            if len(eqs) >= 1:
-                def verify_self(t, s, tol, _b=b):
-                    if abs(t - s) <= 1e-7:
-                        return False
-                    return float(np.max(np.abs(_b.eval(t) - _b.eval(s)))) <= tol
-                for t, _s in _solve_pair(eqs, verify_self, tol):
-                    push(b.eval(t))
-        for i, b1 in enumerate(space.branches):
-            for b2 in space.branches[i + 1 :]:
-                eqs = _pair_system(b1, b2)
-                def verify_cross(t, s, tol, _b1=b1, _b2=b2):
-                    return float(np.max(np.abs(_b1.eval(t) - _b2.eval(s)))) <= tol
-                for t, _s in _solve_pair(eqs, verify_cross, tol):
-                    push(b1.eval(t))
-
-    points.sort(key=lambda p: tuple((round(z.real, 9), round(z.imag, 9)) for z in p))
-    return points
+    lifts = lift_point(space, p)
+    if len(lifts) != 1:
+        return False
+    ((label, t),) = lifts
+    comps = space.branch(label).components
+    return any(abs(npoly.polyval(t, npoly.polyder(c))) > _LIFT_TOL for c in comps)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pshenv import envelope
+from pshenv import cli, envelope
 from pshenv.disc import AnalyticDisc, boundary_from_coeffs, circle_powers
 from pshenv.envelope import (
     _RHO_GRID,
@@ -235,6 +235,29 @@ def test_upper_regularize_empty_shell():
     est = lattice_estimate(lambda z: 0.0)
     with pytest.raises(EmptyShell):
         upper_regularize(est, euclidean_space(1), [0.0], [1e-6])
+
+
+def test_upper_regularize_leaves_out_a_tangency():
+    # The parabola (t, t^2) touches its tangent line (t, 6t - 9) at (3, 9):
+    # two lifts, so the point is not regular and its value 5 stays out.
+    parabola = BranchMap("parabola", ([0, 1], [0, 0, 1]))
+    tangent = BranchMap("tangent", ([0, 1], [-9, 6]))
+    space = curve_space((parabola, tangent))
+    pts = [np.array(p, complex)
+           for p in ([3.0, 9.0], [3.2, 3.2**2], [2.9, 2.9**2], [3.1, 9.6])]
+    est = EnvelopeEstimate(pts, [5.0, 0.0, 0.0, 0.0], [None] * 4, [{}] * 4)
+    val, report = upper_regularize(est, space, [3.1, 3.1**2], [3.0])
+    assert val == 0.0 and report == {3.0: 0.0}
+
+
+def test_upper_regularize_on_the_counterexample_grid():
+    # Only the origin, where the axes cross, is left out besides the point.
+    space, u, grid, budget, q, _ = cli.counterexample_scenario()
+    est = envelope_grid(u, space, grid, budget, q)
+    assert upper_regularize(est, space, [0, 0], [0.26]) == (1.0, {0.26: 1.0})
+    assert upper_regularize(est, space, [0, 0.25], [0.51]) == (1.0, {0.51: 1.0})
+    assert upper_regularize(est, space, [0.25, 0], [0.3, 0.6]) == (
+        0.0, {0.3: 0.0, 0.6: 1.0})
 
 
 def _first_improvement_one_by_one(frame, q, trials, best, btol):

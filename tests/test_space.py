@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from pshenv.space import (
     contains,
     curve_space,
     euclidean_space,
+    is_regular,
     lift_point,
     polydisc,
-    singular_locus_hint,
 )
 
 
@@ -96,17 +98,61 @@ def test_lift_point_dyadic_exact():
         assert s == t
 
 
-def test_singular_locus_hints():
-    hints = singular_locus_hint(two_axes_space())
-    assert len(hints) == 1
-    assert np.allclose(hints[0], [0.0, 0.0], atol=1e-7)
+def nodal_cubic_space():
+    # t -> (t^2 - 1, t^3 - t): one branch crossing itself at the origin
+    return curve_space((BranchMap("node", ([-1, 0, 1], [0, -1, 0, 1])),))
 
-    hints = singular_locus_hint(cusp_space())
-    assert len(hints) == 1
-    assert np.allclose(hints[0], [0.0, 0.0], atol=1e-7)
 
+def tangency_space():
+    # the parabola (t, t^2) and its tangent line (t, 6t - 9) at (3, 9)
+    parabola = BranchMap("parabola", ([0, 1], [0, 0, 1]))
+    tangent = BranchMap("tangent", ([0, 1], [-9, 6]))
+    return curve_space((parabola, tangent))
+
+
+@pytest.mark.parametrize(
+    "space, p",
+    [
+        (two_axes_space(), [0.0, 0.0]),
+        (cusp_space(), [0.0, 0.0]),
+        (nodal_cubic_space(), [0.0, 0.0]),
+        (tangency_space(), [3.0, 9.0]),
+    ],
+    ids=["two-axes-origin", "cusp-origin", "nodal-cubic-node", "tangency"],
+)
+def test_is_regular_rejects_singular_points(space, p):
+    assert not is_regular(space, np.array(p, complex))
+
+
+def test_is_regular_accepts_smooth_points():
+    # 1e-8 up the w-axis is off the z-axis by more than the lift tolerance
+    assert is_regular(two_axes_space(), np.array([0.0, 1e-8]))
+    assert is_regular(cusp_space(), np.array([1.0, 1.0]))  # t = 1
     with pytest.raises(NotApplicable):
-        singular_locus_hint(euclidean_space(1))
+        is_regular(euclidean_space(1), np.array([0.0]))
+
+
+def germ_space(p, q):
+    """w^p = z^q as its g = gcd(p, q) germs z = t^(p/g), w = e^(2 pi i j/p) t^(q/g)."""
+    g = math.gcd(p, q)
+    a, b = p // g, q // g
+    z = np.eye(a + 1, dtype=complex)[a]  # t^a
+    w = np.eye(b + 1, dtype=complex)[b]  # t^b
+    return curve_space(
+        BranchMap(f"germ{j}", (z, np.exp(2j * np.pi * j / p) * w)) for j in range(g)
+    )
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+@pytest.mark.parametrize("p", range(1, 6))
+def test_germ_count_and_regularity_of_w_p_equals_z_q(p, q):
+    X = germ_space(p, q)
+    origin = np.zeros(2, complex)
+    assert len(lift_point(X, origin)) == math.gcd(p, q)
+    assert is_regular(X, origin) == (p == 1 or q == 1)
+    off = X.branches[0].eval(0.6 + 0.3j)
+    assert len(lift_point(X, off)) == 1
+    assert is_regular(X, off)
 
 
 def test_branch_map_rejects_constant():
@@ -155,12 +201,6 @@ def test_polydisc_window():
         polydisc(2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="radius"):
         euclidean_space(3, radii=[1.0, 2.0])
-
-
-def test_irreducible_flag():
-    assert euclidean_space(3).irreducible
-    assert cusp_space().irreducible
-    assert not two_axes_space().irreducible
 
 
 def test_branch_lookup():
