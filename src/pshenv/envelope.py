@@ -173,6 +173,13 @@ _RHO_GRID = np.array(
      0.6, 0.5, 0.38, 0.25, 0.12, 0.03]
 )
 
+# Boundary samples per stacked pass: a descent stack holds this many trial
+# samples, and a window repair screens this many candidate samples per batch.
+# 8,192 complex128 samples are 128 KiB, glibc's default mmap threshold; a
+# larger buffer is mapped and page-faulted afresh on every pass, which made
+# 16,384 slower than 8,192 however few calls it saved.
+_STACK_SAMPLES = 8192
+
 
 def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
     """Shrink each disc of a stack into the window: row j is scaled by rho**j.
@@ -183,20 +190,34 @@ def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
     one (deg+1, 14 * dim) disc of ``stacked_boundaries``, whose bits can
     differ from the repaired disc's own boundary: each disc takes the largest
     rho of a fixed grid that fits in both, or else the constant disc at the
-    center (rho = 0, feasible for a feasible center).  Returns the new
-    (n, deg+1, dim) stack; bnds, shape (n, M, dim) with unit stride along M,
-    receives the boundaries of the returned discs when given.
+    center (rho = 0, feasible for a feasible center).  The discs are repaired
+    in consecutive batches of at most _STACK_SAMPLES / (14 * dim * M) discs
+    (at least one), so a large stack does not raise peak memory; each disc's
+    pick is its own, whatever the batch.  Returns the new (n, deg+1, dim)
+    stack; bnds, shape (n, M, dim) with unit stride along M, receives the
+    boundaries of the returned discs when given.
     """
+    n, _, dim = stack.shape
+    if bnds is None:
+        bnds = np.empty((n, dim, q.M), dtype=complex).transpose(0, 2, 1)
+    per = max(1, _STACK_SAMPLES // (_RHO_GRID.size * dim * q.M))
+    out = np.empty(stack.shape, dtype=complex)
+    for lo in range(0, n, per):
+        out[lo:lo + per] = _project_batch(
+            frame, q.M, stack[lo:lo + per], bnds[lo:lo + per])
+    return out
+
+
+def _project_batch(frame, M, stack, bnds):
+    """``_project`` of one batch; bnds receives the returned discs' boundaries."""
     n, rows, dim = stack.shape
-    M, R = q.M, _RHO_GRID.size
+    R = _RHO_GRID.size
     pow_ = _RHO_GRID[:, None] ** np.arange(rows)[None, :]
     scaled = stack[:, None] * pow_[None, :, :, None]
     cols = scaled.transpose(0, 2, 1, 3).reshape(n, rows, R * dim)
     cand = np.empty((n, R, dim, M), dtype=complex)
     stacked_boundaries(cols, M, out=cand.reshape(n, R * dim, M).transpose(0, 2, 1))
     fit = frame.fits(cand.transpose(0, 1, 3, 2))
-    if bnds is None:
-        bnds = np.empty((n, dim, M), dtype=complex).transpose(0, 2, 1)
     while True:
         pick = np.argmax(fit, axis=1)
         out = scaled[np.arange(n), pick]
@@ -344,28 +365,31 @@ def _dip_family(frame, center, degree: int):
     return make, coarse, ((1 / 256, 7),), (0.0, 0.97)
 
 
-def _arc_cheb_seed(center, degree: int, alpha: float):
-    """Seed whose offset from the origin is small off a gap arc of width alpha.
+def _arc_cheb_seeds(center, degree: int, alphas):
+    """Seeds whose offset from the origin is small off a gap arc, one per
+    gap width alpha, as an (n_alpha, n+1, dim) stack.
 
     Chebyshev polynomial of the even degree n <= degree composed with the
     standard arc-to-interval map, evaluated on a fine circle grid and read
     back off by FFT; degree-graded growth on the gap buys the drop
     everywhere else.  The ratio against its own constant term keeps the
-    center row exact.
+    center row exact.  Every width is evaluated on one (n_alpha, grid)
+    array and transformed by one FFT along its rows.
     """
     n = degree - (degree % 2)
     mf = 4 << (n - 1).bit_length()
     theta = 2.0 * np.pi * np.arange(mf) / mf
     tn = np.zeros(n + 1)
     tn[n] = 1.0
+    half = np.cos(0.5 * np.asarray(alphas, dtype=float))
     vals = np.exp(0.5j * n * theta) * npcheb.chebval(
-        (np.cos(0.5 * theta) / np.cos(0.5 * alpha)).astype(complex), tn
+        (np.cos(0.5 * theta)[None, :] / half[:, None]).astype(complex), tn
     )
-    rows = np.fft.fft(vals)[: n + 1] / mf
-    rows = rows / rows[0]
-    rows[0] = 1.0
-    out = center[None, :] * rows[:, None]
-    out[0] = center
+    rows = np.fft.fft(vals, axis=-1)[:, : n + 1] / mf
+    rows = rows / rows[:, :1]
+    rows[:, 0] = 1.0
+    out = center[None, None, :] * rows[:, :, None]
+    out[:, 0] = center
     return out
 
 
@@ -381,7 +405,7 @@ def _arc_family(center, degree: int):
         return None
 
     def make(alphas):
-        return [_arc_cheb_seed(center, degree, a) for a in alphas]
+        return _arc_cheb_seeds(center, degree, alphas)
 
     coarse = [0.2 + 0.1 * i for i in range(11)]
     return make, coarse, ((0.01, 8), (0.002, 8)), (0.05, 1.5)
@@ -446,10 +470,11 @@ def _first_improvement(frame, q, trials, best, btol):
     """The first trial, in order, that beats ``best``; else None.
 
     Returns its index and what ``_score`` gives for it: (index, trial,
-    value, accept threshold).  The trials are scored together by
-    ``_score_stack``, whose values are the ones ``_score`` gives each trial
-    alone, so the first trial whose value is below best - max(threshold,
-    btol) wins, as it would scored in turn.
+    value, accept threshold).  The trials, which may span several moves and
+    rows of a descent sweep, are scored together by ``_score_stack``, whose
+    values are the ones ``_score`` gives each trial alone, so the first
+    trial whose value is below best - max(threshold, btol) wins, as it would
+    scored in turn.
     """
     try:
         coeffs, values, tols = _score_stack(frame, q, trials)
@@ -473,36 +498,44 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     """First-improvement descent over rows 1..stage_degree.
 
     The start disc is repaired into the window if it leaves it.  Each sweep
-    tries the eight steps of ``_steps`` at every coefficient; the trials of
-    one row (every column still to try) are decided together by
-    ``_first_improvement``, which repairs those that leave the window in
-    one stacked ``_project`` call (row scaling, center row untouched).  A
-    win, repaired or not, is the new disc, and makes the later columns'
-    trials stale, so they are made again from it.  The step shrinks after a
-    sweep with no accepted move.  Returns (coeffs, value, accept threshold
-    of the winning evaluation).
+    tries the eight steps of ``_steps`` at every coefficient, one move per
+    (row, column) pair in row-major order.  The trials of the next k moves,
+    k = max(dim, _STACK_SAMPLES // (8 * M * dim)), form one stack that
+    ``_first_improvement`` decides together, repairing those that leave the
+    window by ``_project`` (row scaling, center row untouched); a stack may
+    span several rows.  The first win, repaired or not, is the new disc and
+    makes the later trials of its stack stale, so the sweep goes on from the
+    move after it with trials made again from the new disc; a stack with no
+    win moves the sweep on by k.  A move that does not win leaves the disc
+    as it was, so these are the decisions of trying every move in turn.  The
+    step shrinks after a sweep with no accepted move.  Returns (coeffs,
+    value, accept threshold of the winning evaluation).
     """
     coeffs, best, btol = _score(frame, q, coeffs)
     if best == float("-inf") or iters <= 0:
         return coeffs, best, btol
-    n_rows = min(stage_degree, coeffs.shape[0] - 1)
+    dim = frame.dim
+    n_moves = min(stage_degree, coeffs.shape[0] - 1) * dim
     step = _STEP_INIT
     for _ in range(iters):
         improved = False
-        deltas = _steps(step)
-        n_try = len(deltas)
-        for row in range(1, n_rows + 1):
-            k = 0
-            while k < frame.dim:
-                trials = np.repeat(coeffs[None], n_try * (frame.dim - k), axis=0)
-                for j, c in enumerate(range(k, frame.dim)):
-                    trials[j * n_try:(j + 1) * n_try, row, c] += deltas
-                win = _first_improvement(frame, q, trials, best, btol)
-                if win is None:
-                    break
-                i, coeffs, best, btol = win
-                improved = True
-                k += i // n_try + 1
+        deltas = np.array(_steps(step))
+        n_try = deltas.size
+        span = max(dim, _STACK_SAMPLES // (n_try * q.M * dim))
+        m = 0
+        while m < n_moves:
+            stop = min(m + span, n_moves)
+            trials = np.repeat(coeffs[None], n_try * (stop - m), axis=0)
+            for j, move in enumerate(range(m, stop)):
+                row, col = divmod(move, dim)
+                trials[j * n_try:(j + 1) * n_try, row + 1, col] += deltas
+            win = _first_improvement(frame, q, trials, best, btol)
+            if win is None:
+                m = stop
+                continue
+            i, coeffs, best, btol = win
+            improved = True
+            m += i // n_try + 1
         if not improved:
             step *= _STEP_SHRINK
             if step < 1e-10:

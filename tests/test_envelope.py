@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 from pshenv import cli, envelope
 from pshenv.disc import AnalyticDisc, boundary_from_coeffs, circle_powers
 from pshenv.envelope import (
     _RHO_GRID,
+    _STACK_SAMPLES,
     _STEP_INIT,
     _STEP_SHRINK,
     IMPROVE_TOL,
     EnvelopeEstimate,
     SearchBudget,
-    _arc_cheb_seed,
+    _arc_cheb_seeds,
     _best_seed,
     _descend,
     _disc_from_log,
@@ -573,23 +575,116 @@ def _serial_descent(frame, q, state, cols, n_rows, iters):
     ("-indicator(ball(0, 0; 0.25))", euclidean_space(1, [0j], [1.0]), [0.5]),
     ("log(0.001 + abs2(z1)) + abs2(z2)",
      euclidean_space(2, [0j, 0j], [0.6, 0.6]), [0.3, -0.2j]),
+    ("-indicator(ball(0, 0; 1))", euclidean_space(1), [2.0]),
+    ("-indicator(ball(0, 0; 1))", euclidean_space(1, [0j], [4.0]), [2.0]),
 ])
 def test_descents_match_serial_reference(text, space, center):
     # The descent, with its stacked repair and scoring, ends where the
-    # serial sweeps end, bit for bit, on windowed searches whose trials
-    # often leave the window.
+    # serial sweeps end, bit for bit: on windowed searches whose trials
+    # often leave the window, and on the unbounded indicator, descended at
+    # degree 16.  At M = 64 a stack holds 16 moves, so every C^1 sweep is
+    # one stack and the C^2 sweep two.
     frame = _Frame(parse_field(text), space)
     center = np.asarray(center, dtype=complex)
-    b = SearchBudget(degree_schedule=(8,), descent_iters=4, seed=3)
+    degree = 8 if space.domain_constraint is not None else 16
+    b = SearchBudget(degree_schedule=(degree,), descent_iters=4, seed=3)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        coeffs = (rng.normal(size=(9, frame.dim))
-                  + 1j * rng.normal(size=(9, frame.dim))) * 0.3
+        coeffs = (rng.normal(size=(degree + 1, frame.dim))
+                  + 1j * rng.normal(size=(degree + 1, frame.dim))) * 0.3
         coeffs[0] = center
-        got = _descend(frame, Q64, coeffs, 8, b.descent_iters)
+        got = _descend(frame, Q64, coeffs, degree, b.descent_iters)
         want = _serial_descent(frame, Q64, _score(frame, Q64, coeffs)[0],
-                               list(range(frame.dim)), 8, b.descent_iters)
+                               list(range(frame.dim)), degree,
+                               b.descent_iters)
         assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+
+
+def _overflow_ridge(row1):
+    # A degree-8 disc, descended at degree 4, for a field that raises
+    # DomainError (0 * inf) where re f passes log(max float) = 709.78 at a
+    # node.  The fixed rows 5-8 peak at node 21 of 64, theta = 118.1 deg,
+    # 0.94 below the overflow and at least 1.6 above every other node.
+    # There a unit step lifts re f by cos(3 theta) = 0.995 on row 3 and by
+    # at most 0.882 and 0.831 on rows 1 and 2, so with rows 1-4 at zero no
+    # step wins and row 3's first trial raises.
+    zeta = np.exp(2j * np.pi * 21 / 64)
+    coeffs = np.zeros((9, 1), dtype=complex)
+    coeffs[5:, 0] = 2.0 * zeta ** -np.arange(5, 9)
+    coeffs[0] = np.log(np.finfo(float).max) - 0.94 - 8.0
+    coeffs[1] = row1
+    return coeffs
+
+
+def test_descent_raises_only_where_the_serial_sweep_does():
+    # Rows 1-4 form one stack at M = 64, and its row-3 trial raises.  With
+    # row 1 at zero the serial sweep reaches that trial and so must the
+    # descent.  With row 1 at -i conj(zeta), which moves node 21 by 0, the
+    # first trial of row 1 wins and lowers node 21 by 0.471, so the row-3
+    # trial made again from the new disc fits: neither raises, and both
+    # end on the same bits.
+    assert _STACK_SAMPLES // (8 * Q64.M) >= 4
+    frame = _Frame(parse_field("abs2(z1 - 700) + 0 * exp(re(z1))"),
+                   euclidean_space(1))
+    for row1 in (0, -1j * np.exp(-2j * np.pi * 21 / 64)):
+        start = _overflow_ridge(row1)
+        trial = start.copy()
+        trial[3] += _steps(_STEP_INIT)[0]
+        with pytest.raises(DomainError):
+            _score(frame, Q64, trial)
+        if row1 == 0:
+            with pytest.raises(DomainError):
+                _serial_descent(frame, Q64, start, [0], 4, 1)
+            with pytest.raises(DomainError):
+                _descend(frame, Q64, start, 4, 1)
+            continue
+        got = _descend(frame, Q64, start, 4, 1)
+        want = _serial_descent(frame, Q64, start, [0], 4, 1)
+        assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+        assert not np.array_equal(got[0][1], start[1])
+
+
+def test_descent_scores_two_rows_per_stack_at_m_512(monkeypatch):
+    # At M = 512 in C^1 a stack holds two moves, so a degree-4 sweep with
+    # no win is decided in two stacks: a psh field on a constant disc,
+    # where no step wins, over three sweeps.
+    calls = []
+    real = envelope._first_improvement
+
+    def counting(frame, q, trials, best, btol):
+        calls.append(len(trials))
+        return real(frame, q, trials, best, btol)
+
+    monkeypatch.setattr(envelope, "_first_improvement", counting)
+    frame = _Frame(parse_field("abs2(z1)"), euclidean_space(1))
+    start = np.zeros((5, 1), dtype=complex)
+    start[0] = 0.3
+    coeffs, value, _ = _descend(frame, QuadratureSpec(M=512), start, 4, 3)
+    assert np.array_equal(coeffs, start) and value == pytest.approx(0.09)
+    assert calls == [16, 16] * 3
+
+
+def test_project_in_batches_matches_single_disc_repair():
+    # 40 discs at M = 128 in C^1 span ten repair batches of four; each disc
+    # gets the repair it gets alone, and bnds its own boundary.
+    q = QuadratureSpec(M=128)
+    frame = _Frame(parse_field("0"), euclidean_space(1, [0j], [1.0]))
+    assert _STACK_SAMPLES // (_RHO_GRID.size * q.M) == 4
+    rng = np.random.default_rng(9)
+    stack = (rng.normal(size=(40, 7, 1))
+             + 1j * rng.normal(size=(40, 7, 1))) * rng.choice(
+                 [0.3, 1.0, 4.0], size=(40, 1, 1))
+    stack[:, 0] = 0.9 * (rng.random((40, 1)) - 0.5)
+    stack[::9, 0] = 0.99
+    stack[::9, 1:] *= 40.0
+    assert not frame.fits(np.stack([boundary_from_coeffs(c, q.M)
+                                    for c in stack])).any()
+    bnds = np.empty((1, 40, q.M), dtype=complex).transpose(1, 2, 0)
+    got = _project(frame, q, stack, bnds=bnds)
+    assert got.shape == stack.shape
+    for g, c, bnd in zip(got, stack, bnds):
+        assert _same_bits(g, _project_one(frame, q, c))
+        assert _same_bits(bnd, boundary_from_coeffs(g, q.M))
 
 
 # The two seed scans a stage ran before they merged into _best_seed, kept as
@@ -657,6 +752,24 @@ def _best_dip_seed_ref(frame, q, center, degree, incumbent):
     return disc, best[0], sum(s[0] == best[0] for s in scored)
 
 
+def _arc_cheb_seed_one(center, degree, alpha):
+    # The single-width seed the batched _arc_cheb_seeds replaced.
+    n = degree - (degree % 2)
+    mf = 4 << (n - 1).bit_length()
+    theta = 2.0 * np.pi * np.arange(mf) / mf
+    tn = np.zeros(n + 1)
+    tn[n] = 1.0
+    vals = np.exp(0.5j * n * theta) * npcheb.chebval(
+        (np.cos(0.5 * theta) / np.cos(0.5 * alpha)).astype(complex), tn
+    )
+    rows = np.fft.fft(vals)[: n + 1] / mf
+    rows = rows / rows[0]
+    rows[0] = 1.0
+    out = center[None, :] * rows[:, None]
+    out[0] = center
+    return out
+
+
 def _best_arc_seed_ref(frame, q, center, degree, incumbent):
     if frame.constraint is not None or degree < 2:
         return None
@@ -665,7 +778,9 @@ def _best_arc_seed_ref(frame, q, center, degree, incumbent):
     coarse = [0.2 + 0.1 * i for i in range(11)]
 
     def scan(alphas):
-        seeds = [_arc_cheb_seed(center, degree, a) for a in alphas]
+        seeds = [_arc_cheb_seed_one(center, degree, a) for a in alphas]
+        batch = _arc_cheb_seeds(center, degree, alphas)
+        assert all(_same_bits(b, s) for b, s in zip(batch, seeds))
         coeffs, values, tols = _score_stack(frame, q, seeds)
         return list(zip(values.tolist(), alphas, coeffs, tols.tolist()))
 
