@@ -165,16 +165,18 @@ _NOISE_ULPS = 256.0 * np.finfo(float).eps
 
 
 # Trial scales for the window repair, largest first.  A fixed grid instead
-# of a bisection: all candidate boundaries come out of one product, which is
-# an order of magnitude cheaper than sequential re-evaluation, and repair
-# only needs a workable rho, not the exact feasibility edge.
+# of a bisection: repair only needs a workable rho, not the exact
+# feasibility edge.  The grid is tried in order because most repairs keep
+# one of its first few values: about 5 boundaries per repaired disc on the
+# windowed benchmark workloads, where screening all 14 in one product and
+# rechecking the pick takes 15.
 _RHO_GRID = np.array(
     [0.999, 0.99, 0.97, 0.94, 0.9, 0.85, 0.78, 0.7,
      0.6, 0.5, 0.38, 0.25, 0.12, 0.03]
 )
 
 # Boundary samples per stacked pass: a descent stack holds this many trial
-# samples, and a window repair screens this many candidate samples per batch.
+# samples, and a window repair computes at most this many per rho of a batch.
 # 8,192 complex128 samples are 128 KiB, glibc's default mmap threshold; a
 # larger buffer is mapped and page-faulted afresh on every pass, which made
 # 16,384 slower than 8,192 however few calls it saved.
@@ -186,13 +188,12 @@ def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
 
     stack has shape (n, deg+1, dim) and holds discs that leave the window;
     callers test that first.  Reparametrizing by a smaller circle keeps the
-    center fixed.  The candidates of a disc are screened as the columns of
-    one (deg+1, 14 * dim) disc of ``stacked_boundaries``, whose bits can
-    differ from the repaired disc's own boundary: each disc takes the largest
-    rho of a fixed grid that fits in both, or else the constant disc at the
-    center (rho = 0, feasible for a feasible center).  The discs are repaired
-    in consecutive batches of at most _STACK_SAMPLES / (14 * dim * M) discs
-    (at least one), so a large stack does not raise peak memory; each disc's
+    center fixed.  Each disc takes the largest rho of a fixed grid whose
+    scaled disc fits on its own boundary, or else the constant disc at the
+    center (rho = 0, feasible for a feasible center).  The grid is tried
+    largest first, each rho only on the discs still unresolved, in
+    consecutive batches of at most _STACK_SAMPLES / (dim * M) discs (at
+    least one), so a large stack does not raise peak memory; each disc's
     pick is its own, whatever the batch.  Returns the new (n, deg+1, dim)
     stack; bnds, shape (n, M, dim) with unit stride along M, receives the
     boundaries of the returned discs when given.
@@ -200,7 +201,7 @@ def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
     n, _, dim = stack.shape
     if bnds is None:
         bnds = np.empty((n, dim, q.M), dtype=complex).transpose(0, 2, 1)
-    per = max(1, _STACK_SAMPLES // (_RHO_GRID.size * dim * q.M))
+    per = max(1, _STACK_SAMPLES // (dim * q.M))
     out = np.empty(stack.shape, dtype=complex)
     for lo in range(0, n, per):
         out[lo:lo + per] = _project_batch(
@@ -211,24 +212,22 @@ def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
 def _project_batch(frame, M, stack, bnds):
     """``_project`` of one batch; bnds receives the returned discs' boundaries."""
     n, rows, dim = stack.shape
-    R = _RHO_GRID.size
-    pow_ = _RHO_GRID[:, None] ** np.arange(rows)[None, :]
-    scaled = stack[:, None] * pow_[None, :, :, None]
-    cols = scaled.transpose(0, 2, 1, 3).reshape(n, rows, R * dim)
-    cand = np.empty((n, R, dim, M), dtype=complex)
-    stacked_boundaries(cols, M, out=cand.reshape(n, R * dim, M).transpose(0, 2, 1))
-    fit = frame.fits(cand.transpose(0, 1, 3, 2))
-    while True:
-        pick = np.argmax(fit, axis=1)
-        out = scaled[np.arange(n), pick]
-        none = ~fit.any(axis=1)
-        out[none] = 0
-        out[none, 0] = stack[none, 0]
-        stacked_boundaries(out, M, out=bnds)
-        bad = ~(frame.fits(bnds) | none)
-        if not bad.any():
+    out = np.zeros_like(stack)
+    out[:, 0] = stack[:, 0]
+    left = np.arange(n)
+    for pow_ in _RHO_GRID[:, None] ** np.arange(rows):
+        scaled = stack[left] * pow_[:, None]
+        bnd = np.empty((left.size, dim, M), dtype=complex).transpose(0, 2, 1)
+        stacked_boundaries(scaled, M, out=bnd)
+        fit = frame.fits(bnd)
+        out[left[fit]] = scaled[fit]
+        bnds[left[fit]] = bnd[fit]
+        left = left[~fit]
+        if not left.size:
             return out
-        fit[bad, pick[bad]] = False
+    bnd = np.empty((left.size, dim, M), dtype=complex).transpose(0, 2, 1)
+    bnds[left] = stacked_boundaries(out[left], M, out=bnd)
+    return out
 
 
 def _score_stack(frame, q, trials):
@@ -237,8 +236,9 @@ def _score_stack(frame, q, trials):
     trials is a (n, deg+1, dim) stack, or a sequence of n such discs.  The
     boundaries come out of one stacked product, bit for bit those of
     ``boundary_from_coeffs``; the trials that leave the window are repaired
-    together by one ``_project`` call, and all n boundaries go through the
-    field in one pass.  Returns (coeffs, values, thresholds): coeffs[i] is
+    together by one ``_project`` call, which hands back the boundaries it
+    tested each repair on, and all n boundaries go through the field in one
+    pass.  Returns (coeffs, values, thresholds): coeffs[i] is
     trials[i] itself or its repair, values[i] is ``poisson_functional`` of
     that disc bit for bit, and thresholds[i] is the margin by which a value
     must beat an incumbent: IMPROVE_TOL inflated to a few hundred ulps of

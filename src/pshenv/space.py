@@ -34,6 +34,7 @@ __all__ = [
 
 _ROOT_CLUSTER_TOL = 1e-9
 _LIFT_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -207,17 +208,50 @@ def _newton_polish(poly, t, iters: int = 60):
     return best
 
 
+def _horner(c: list, t: complex):
+    """c'(t) and a bound on the rounding error of c(t) by Horner's rule.
+
+    The bound is the running error bound of Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 5.1, widened from u to 4 eps
+    per step to cover complex products; it scales with |c(t)|, not with a
+    fixed unit.
+    """
+    y, dy, mu = c[-1], 0j, abs(c[-1])
+    for a in c[-2::-1]:
+        dy = t * dy + y
+        y = t * y + a
+        mu = abs(t) * mu + abs(y)
+    return dy, 4.0 * _EPS * mu
+
+
 def _branch_lifts(branch: BranchMap, p, tol: float) -> list:
-    """Parameters t with branch(t) == p within tol (sup norm)."""
+    """(t, excess) for the parameters t with branch(t) == p within tol.
+
+    excess is t's largest residual beyond what rounding explains: the
+    evaluation error of each component at t plus the pivot's error carried
+    through the root, doubled for the rounding already in p.  A root that
+    matches p only within tol, like the sibling roots t*exp(2 pi i/3) of a
+    cusp point (t^3, t^2) at small t, has a positive excess.
+    """
     # Solve on the first nonconstant component, verify on the rest.
-    pivot = next(i for i, c in enumerate(branch.components) if len(c) > 1)
-    poly = branch.components[pivot].copy()
+    comps = branch.components
+    pivot = next(i for i, c in enumerate(comps) if len(c) > 1)
+    poly = comps[pivot].copy()
     poly[0] -= p[pivot]
     roots = _cluster(_newton_polish(poly, r) for r in npoly.polyroots(poly))
     hits = []
     for t in roots:
-        if np.max(np.abs(branch.eval(t) - p)) <= tol:
-            hits.append(complex(t))
+        res = np.abs(branch.eval(t) - p)
+        if np.max(res) > tol:
+            continue
+        t = complex(t)
+        slope, err = zip(*(_horner(c.tolist(), t) for c in comps))
+        # A root off by err[pivot] / |pivot'(t)| moves each component by up
+        # to its own |c'(t)| times that.
+        carry = err[pivot] / abs(slope[pivot]) if slope[pivot] else np.inf
+        allow = [2.0 * (e + (abs(d) * carry if d else 0.0))
+                 for d, e in zip(slope, err)]
+        hits.append((t, float(np.max(res - allow))))
     return hits
 
 
@@ -235,20 +269,22 @@ def contains(space: SpaceModel, p, tol: float = _LIFT_TOL) -> bool:
 def lift_point(space: SpaceModel, p, tol: float = _LIFT_TOL) -> list:
     """All branch preimages of p as (label, parameter) pairs.
 
-    Raises PointNotOnSpace when no branch reproduces p within tol.  Points on
-    several branches (or with several preimages on one branch) return every
-    lift, in branch order.
+    Raises PointNotOnSpace when no branch reproduces p within tol.  Among
+    the parameters that do, the lifts are those that reproduce p up to the
+    rounding of their own evaluation, or, when p is off the curve by more
+    than that, up to the best one's excess.  Points on several branches (or
+    with several preimages on one branch) return every lift, in branch
+    order.
     """
     p = _as_point(space, p)
     if space.kind != "curve":
         raise NotApplicable("lift_point applies to curve spaces only")
-    lifts = []
-    for b in space.branches:
-        for t in _branch_lifts(b, p, tol):
-            lifts.append((b.label, t))
-    if not lifts:
+    found = [(b.label, t, excess) for b in space.branches
+             for t, excess in _branch_lifts(b, p, tol)]
+    if not found:
         raise PointNotOnSpace(f"point {p} is not on any branch within tol={tol}")
-    return lifts
+    cut = max(0.0, min(excess for _, _, excess in found))
+    return [(label, t) for label, t, excess in found if excess <= cut]
 
 
 def is_regular(space: SpaceModel, p) -> bool:

@@ -687,6 +687,82 @@ def test_project_in_batches_matches_single_disc_repair():
         assert _same_bits(bnd, boundary_from_coeffs(g, q.M))
 
 
+def _counting_boundaries(monkeypatch, M):
+    # Counts the boundary columns (stack entries times width; one per disc
+    # in C^1) that stacked_boundaries computes, and checks that no call
+    # holds more than _STACK_SAMPLES samples.
+    counted = []
+    real = envelope.stacked_boundaries
+
+    def counting(coeffs, m, out):
+        n, _, width = np.shape(coeffs)
+        assert m == M and n * width * m <= _STACK_SAMPLES
+        counted.append(n * width)
+        return real(coeffs, m, out)
+
+    monkeypatch.setattr(envelope, "stacked_boundaries", counting)
+    return counted
+
+
+def test_repair_computes_one_boundary_per_rho_tried(monkeypatch):
+    # A C^1 disc centred in the unit window with |f'(0)| = a fits at rho
+    # exactly when rho * a <= 1: a repair that picks grid index k computes
+    # the boundaries of rho_0, ..., rho_k and no other; a disc that no rho
+    # fits computes all fourteen and the constant disc's.
+    q = QuadratureSpec(M=128)
+    frame = _Frame(parse_field("0"), euclidean_space(1, [0j], [1.0]))
+    counted = _counting_boundaries(monkeypatch, q.M)
+    pow_ = _RHO_GRID[:, None] ** np.arange(4)
+    cases = [(0.0, 1.0005, 0), (0.0, 1.25, 6), (0.0, 5.0, 12), (0.99, 10.0, -1)]
+    for c0, a, k in cases:
+        disc = np.zeros((1, 4, 1), dtype=complex)
+        disc[0, 0], disc[0, 1] = c0, a
+        counted.clear()
+        got = _project(frame, q, disc)[0]
+        if k < 0:
+            assert np.array_equal(got, [[c0], [0], [0], [0]])
+            assert sum(counted) == _RHO_GRID.size + 1
+        else:
+            assert _same_bits(got, disc[0] * pow_[k][:, None])
+            assert sum(counted) == k + 1
+
+
+@pytest.mark.parametrize("dim, n", [(1, 150), (2, 80)])
+def test_project_across_batches_matches_single_disc_repair(monkeypatch, dim, n):
+    # More discs than one repair batch of _STACK_SAMPLES / (dim * M) holds,
+    # some of which no rho fits: each disc gets the repair it gets alone,
+    # bnds its own boundary, and no pass exceeds the sample budget.
+    q = QuadratureSpec(M=128)
+    space = euclidean_space(dim, [0j, 0.1j][:dim], [1.0, 0.5][:dim])
+    frame = _Frame(parse_field("0"), space)
+    counted = _counting_boundaries(monkeypatch, q.M)
+    rng = np.random.default_rng(23)
+    stack = (rng.normal(size=(n, 9, dim))
+             + 1j * rng.normal(size=(n, 9, dim))) * rng.choice(
+                 [0.1, 0.3, 1.0, 4.0], size=(n, 1, 1))
+    win = space.domain_constraint
+    stack[:, 0] = win.center + 0.9 * (rng.random((n, dim)) - 0.5) * win.radii
+    stack[::11, 0] = win.center + 0.99 * win.radii
+    stack[::11, 1:] *= 40.0
+    out = ~frame.fits(np.stack([boundary_from_coeffs(c, q.M) for c in stack]))
+    stack = stack[out]
+    assert len(stack) > _STACK_SAMPLES // (dim * q.M)
+    bnds = np.empty((dim, len(stack), q.M), dtype=complex).transpose(1, 2, 0)
+    got = _project(frame, q, stack, bnds=bnds)
+    assert counted
+    picked = set()
+    pow_ = _RHO_GRID[:, None] ** np.arange(9)
+    for g, c, bnd in zip(got, stack, bnds):
+        want = _project_one(frame, q, c)
+        assert _same_bits(g, want)
+        assert _same_bits(bnd, boundary_from_coeffs(g, q.M))
+        hit = [k for k in range(_RHO_GRID.size)
+               if np.array_equal(want, c * pow_[k][:, None])]
+        picked.add(hit[0] if hit else -1)
+    # Several rho values of the grid and the constant-disc fallback occur.
+    assert -1 in picked and len(picked) >= 4
+
+
 # The two seed scans a stage ran before they merged into _best_seed, kept as
 # references: the dip scan with a euclidean window (its fixed gain/dip
 # levels for spaces without a window are gone) and the arc scan without

@@ -70,6 +70,30 @@ def test_lift_point_cusp():
     assert t == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", range(2, 8))
+def test_cusp_points_near_the_cusp_have_one_lift(e):
+    # The sibling parameters t*exp(+-2 pi i/3) solve z = t^3 exactly and
+    # miss w = t^2 by about 1.7 t^2, far beyond rounding but within the
+    # absolute lift tolerance once t <= 1e-5.
+    X = cusp_space()
+    t = 10.0 ** -e
+    p = X.branch("cusp").eval(t)
+    assert lift_point(X, p) == [("cusp", pytest.approx(t, rel=1e-12))]
+    assert is_regular(X, p)
+
+
+def test_points_off_the_curve_within_tol_keep_their_best_lift():
+    # Off the cusp by 1e-12, far beyond rounding but within the lift
+    # tolerance: the point is on the curve, and its lift is the parameter
+    # that misses it least, also next to the cusp.
+    X = cusp_space()
+    branch = X.branch("cusp")
+    for t in (0.5, 1e-5):
+        p = branch.eval(t) + np.array([0.0, 1e-12])
+        assert contains(X, p)
+        assert lift_point(X, p) == [("cusp", pytest.approx(t, rel=1e-9))]
+
+
 def test_lift_point_errors():
     with pytest.raises(NotApplicable):
         lift_point(euclidean_space(2), np.array([0.0, 0.0]))
