@@ -234,16 +234,17 @@ def _score_stack(frame, q, trials):
     """Repair the trials that leave the window, then evaluate them all.
 
     trials is a (n, deg+1, dim) stack, or a sequence of n such discs.  The
-    boundaries come out of one stacked product, bit for bit those of
-    ``boundary_from_coeffs``; the trials that leave the window are repaired
-    together by one ``_project`` call, which hands back the boundaries it
-    tested each repair on, and all n boundaries go through the field in one
-    pass.  Returns (coeffs, values, thresholds): coeffs[i] is
-    trials[i] itself or its repair, values[i] is ``poisson_functional`` of
-    that disc bit for bit, and thresholds[i] is the margin by which a value
-    must beat an incumbent: IMPROVE_TOL inflated to a few hundred ulps of
-    the mean absolute sample, the resolution below which two evaluations
-    cannot be told apart (IMPROVE_TOL for a value of -inf).
+    boundaries come out of one ``stacked_boundaries`` call, bit for bit
+    those of ``boundary_from_coeffs`` on either of its branches; the trials
+    that leave the window are repaired together by one ``_project`` call,
+    which hands back the boundaries it tested each repair on, and all n
+    boundaries go through the field in one pass.  Returns (coeffs, values,
+    thresholds): coeffs[i] is trials[i] itself or its repair, values[i] is
+    ``poisson_functional`` of that disc bit for bit, and thresholds[i] is
+    the margin by which a value must beat an incumbent: IMPROVE_TOL inflated
+    to a few hundred ulps of the mean absolute sample, the resolution below
+    which two evaluations cannot be told apart (IMPROVE_TOL for a value of
+    -inf).
     """
     M, n = q.M, len(trials)
     arr = np.asarray(trials)

@@ -32,7 +32,9 @@ __all__ = [
     "is_regular",
 ]
 
-_ROOT_CLUSTER_TOL = 1e-9
+# Two roots, or a derivative and zero, that agree to this relative
+# tolerance cannot be told apart.
+_REL_TOL = 1e-9
 _LIFT_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
@@ -175,10 +177,15 @@ def _as_point(space: SpaceModel, p) -> np.ndarray:
 
 
 def _cluster(roots) -> list:
-    """Collapse numerically coincident roots, deterministic order."""
+    """Collapse numerically coincident roots, deterministic order.
+
+    Roots coincide when they agree to a relative _REL_TOL of their own
+    modulus, so the distinct roots of t^3 = 1e-30 stay apart while the
+    exact copies of a multiple root merge.
+    """
     out = []
     for r in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-        if not any(abs(r - q) <= _ROOT_CLUSTER_TOL * max(1.0, abs(q)) for q in out):
+        if not any(abs(r - q) <= _REL_TOL * abs(q) for q in out):
             out.append(r)
     return out
 
@@ -291,15 +298,20 @@ def is_regular(space: SpaceModel, p) -> bool:
     """Whether the curve is smooth at p, judged by p's own lifts.
 
     p is regular when it has exactly one lift and, at that parameter, some
-    component of the branch has a derivative of modulus above lift_point's
-    tolerance.  Several lifts mean several local germs through p (a node, a
-    tangency, a crossing); a single lift with a vanishing derivative is a
-    cusp.  Raises NotApplicable on euclidean spaces and PointNotOnSpace for
-    points off the curve.
+    component c of the branch has a derivative that does not vanish: |c'(t)|
+    exceeds a relative _REL_TOL of sum_k k |c_k| |t|^(k-1), the size of its
+    terms, so the test scales with |t| and with the branch's coefficients.
+    Several lifts mean several local germs through p (a node, a tangency, a
+    crossing); a single lift with a vanishing derivative is a cusp.  Raises
+    NotApplicable on euclidean spaces and PointNotOnSpace for points off the
+    curve.
     """
     lifts = lift_point(space, p)
     if len(lifts) != 1:
         return False
     ((label, t),) = lifts
-    comps = space.branch(label).components
-    return any(abs(npoly.polyval(t, npoly.polyder(c))) > _LIFT_TOL for c in comps)
+    for c in space.branch(label).components:
+        d = npoly.polyder(c)
+        if abs(npoly.polyval(t, d)) > _REL_TOL * npoly.polyval(abs(t), np.abs(d)):
+            return True
+    return False

@@ -1,0 +1,139 @@
+"""The two branches of the boundary routine: accuracy, routing and bits.
+
+``disc.stacked_boundaries`` takes a product with ``circle_powers`` for discs
+below degree 24 and an inverse FFT from degree 24 up.  Both must give the
+polynomial's values on the M nodes to rounding, no disc of degree 24 or
+more may build a powers matrix, and the search must still report values
+that recompute bit for bit through ``poisson_functional`` on the FFT side.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pshenv import disc
+from pshenv.disc import (
+    DEGREE_CAP,
+    AnalyticDisc,
+    boundary_from_coeffs,
+    stacked_boundaries,
+)
+from pshenv.envelope import SearchBudget, _Frame, _score, _score_stack, envelope_at
+from pshenv.functional import QuadratureSpec, parse_field, poisson_functional
+from pshenv.hull import CompactSet, membership_field
+from pshenv.space import BranchMap, curve_space, euclidean_space
+
+FFT_DEGREE = disc._FFT_ROWS - 1
+EPS = np.finfo(float).eps
+
+CUSP = BranchMap("cusp", ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]))
+CIRCLE = CompactSet.from_points(
+    [[np.exp(2j * np.pi * k / 16)] for k in range(16)], blow_radius=0.05)
+
+# The indicator's values are node counts; the windowed and hull cases repair
+# discs that leave their windows, the windowed one at times down to the
+# constant disc, whose boundary comes from the product branch inside an
+# FFT-sized stack; the cusp case pushes its field forward to the branch
+# parameter.
+CASES = {
+    "indicator": (parse_field("-indicator(ball(0, 0; 0.5))"),
+                  euclidean_space(1), None),
+    "windowed": (parse_field("max(re(z1), abs2(z1) - 1) + re(z2)"),
+                 euclidean_space(2, [0j, 0.1j], [1.0, 0.5]), None),
+    "cusp": (parse_field("log(abs2(z1) + abs2(z2))"), curve_space((CUSP,)), CUSP),
+    "hull": (membership_field(CIRCLE, 0.2), euclidean_space(1, [0j], [2.0]),
+             None),
+}
+
+
+def _random_stack(rng, n, degree, dim, spread):
+    stack = (rng.normal(size=(n, degree + 1, dim))
+             + 1j * rng.normal(size=(n, degree + 1, dim)))
+    stack *= spread * 0.7 ** np.arange(degree + 1)[None, :, None]
+    stack[:, 0] = 0.3 * (rng.random((n, dim)) - 0.5)
+    return stack
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.float64(a).view(np.int64), np.float64(b).view(np.int64))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+       log_m=st.integers(4, 9), degree=st.integers(20, 70),
+       spread=st.sampled_from([0.05, 0.4, 1.5, 6.0]))
+def test_stacked_rows_are_the_disc_alone_across_the_fft_threshold(
+        case, seed, n, log_m, degree, spread):
+    # Degrees 20-70 straddle the threshold, and M = 16 or 32 folds the
+    # higher rows onto the lower ones.
+    u, space, branch = CASES[case]
+    frame = _Frame(u, space, branch)
+    q = QuadratureSpec(M=2 ** log_m)
+    rng = np.random.default_rng(seed)
+    trials = _random_stack(rng, n, degree, frame.dim, spread)
+    coeffs, values, tols = _score_stack(frame, q, trials)
+    for i in range(n):
+        one = _score(frame, q, trials[i])
+        assert np.array_equal(one[0], coeffs[i])
+        assert _same_bits(one[1], values[i]) and one[2] == tols[i]
+        alone = poisson_functional(u, AnalyticDisc(coeffs[i], branch), q)
+        assert _same_bits(values[i], alone)
+
+
+@pytest.mark.parametrize("M", [16, 48, 128, 512])
+def test_both_branches_match_eval_at_the_nodes(M):
+    # Every degree up to DEGREE_CAP on both branches, deg >= M included,
+    # against the disc's own evaluation at the nodes.  eval rounds each
+    # power zeta^k with a relative error that grows with k, so the bound is
+    # (32 + 2 deg) eps sum |a_k|: the largest distance measured on these
+    # draws was about half of that, at M = 48 and degree 49.
+    rng = np.random.default_rng(M)
+    nodes = np.exp(2j * np.pi * np.arange(M) / M)
+    for degree in range(DEGREE_CAP + 1):
+        c = rng.normal(size=(2, degree + 1, 2)) + 1j * rng.normal(size=(2, degree + 1, 2))
+        for branch in (disc._matmul_boundaries, disc._fft_boundaries):
+            out = np.empty((2, 2, M), dtype=complex).transpose(1, 2, 0)
+            got = branch(c, M, out)
+            for k in range(2):
+                want = AnalyticDisc(c[k]).eval(nodes)
+                bound = (32 + 2 * degree) * EPS * np.abs(c[k]).sum(axis=0)
+                assert np.all(np.abs(got[k] - want) <= bound), (degree, branch)
+
+
+def test_no_powers_matrix_is_built_for_fft_sized_discs(monkeypatch):
+    # The powers cache holds at most degree-23 matrices, so it never grows
+    # back to (deg + 1) x M entries per high-degree stage.
+    built, transformed = [], []
+    real_powers, real_fft = disc.circle_powers, disc._fft_boundaries
+
+    def powers(M, degree):
+        built.append(degree + 1)
+        return real_powers(M, degree)
+
+    def fft(coeffs, M, out):
+        transformed.append(coeffs.shape[1])
+        return real_fft(coeffs, M, out)
+
+    monkeypatch.setattr(disc, "circle_powers", powers)
+    monkeypatch.setattr(disc, "_fft_boundaries", fft)
+    rng = np.random.default_rng(7)
+    for rows in range(1, DEGREE_CAP + 2):
+        c = rng.normal(size=(3, rows, 2)) + 0j
+        c[1, 1:] = 0.0       # a constant disc inside a high-degree stack
+        c[2, FFT_DEGREE:] = 0.0
+        out = np.empty((3, 64, 2), dtype=complex)
+        got = stacked_boundaries(c, 64, out)
+        for k in range(3):
+            assert np.array_equal(got[k], boundary_from_coeffs(c[k], 64))
+    assert max(built) == FFT_DEGREE and min(transformed) == disc._FFT_ROWS
+    # A degree-32 search in a window scores and repairs its trials on the
+    # FFT branch alone.
+    built.clear()
+    transformed.clear()
+    b = SearchBudget(degree_schedule=(32,), restarts=1, descent_iters=1, seed=3)
+    envelope_at(parse_field("-indicator(ball(0, 0; 0.5))"),
+                euclidean_space(1, [0j], [1.0]), np.array([0.3 + 0j]), b,
+                QuadratureSpec(M=64))
+    assert set(transformed) == {33} and max(built) < disc._FFT_ROWS

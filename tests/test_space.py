@@ -82,6 +82,28 @@ def test_cusp_points_near_the_cusp_have_one_lift(e):
     assert is_regular(X, p)
 
 
+@pytest.mark.parametrize("e", range(8, 12))
+def test_cusp_points_far_below_the_lift_tolerance_keep_their_own_lift(e):
+    # The three roots of z = t^3 lie within 1e-9 of each other from
+    # t = 1e-10 down, and |w'(t)| = 2t falls below 1e-9: root clustering and
+    # the derivative test are relative to the point's own scale.
+    X = cusp_space()
+    t = 10.0 ** -e
+    p = X.branch("cusp").eval(t)
+    assert lift_point(X, p) == [("cusp", pytest.approx(t, rel=1e-12))]
+    assert is_regular(X, p)
+
+
+def test_a_line_with_small_coefficients_is_regular():
+    # t -> (1e-10 t, 2e-10 t): the derivative is small but far from zero at
+    # the scale of the branch's coefficients.
+    X = curve_space((BranchMap("line", ([0, 1e-10], [0, 2e-10])),))
+    p = X.branch("line").eval(0.5)
+    assert lift_point(X, p) == [("line", 0.5)]
+    assert is_regular(X, p)
+    assert not is_regular(cusp_space(), np.zeros(2, complex))
+
+
 def test_points_off_the_curve_within_tol_keep_their_best_lift():
     # Off the cusp by 1e-12, far beyond rounding but within the lift
     # tolerance: the point is on the curve, and its lift is the parameter
