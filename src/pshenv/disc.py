@@ -8,9 +8,11 @@ values are the branch pushforward of the parameter polynomial.
 Values on the M equispaced boundary nodes all come from one routine,
 ``stacked_boundaries``, which has two branches: a product with the powers
 matrix ``circle_powers`` below degree 24, an inverse FFT of the
-coefficients from degree 24 up.  A disc gets the same bits in any stack as
-alone in ``boundary_from_coeffs``, which ``poisson_functional`` recomputes
-the search's values with.
+coefficients from degree 24 up.  The product is one BLAS call for a whole
+stack of discs with two or more columns and one per disc for one-column
+discs.  A disc gets the same bits in any stack as alone in
+``boundary_from_coeffs``, which ``poisson_functional`` recomputes the
+search's values with.
 
 The composition machinery takes a base disc f together with a family of
 discs attached to its boundary points, compresses the family into a Laurent
@@ -53,9 +55,11 @@ COND_LIMIT = 1e12
 # Discs of degree _FFT_ROWS - 1 and up get their boundary values from an
 # inverse FFT, lower ones from a product with circle_powers (see
 # stacked_boundaries): per stack, the FFT's cost hardly grows with the
-# degree while the product's grows linearly.  On the benchmark's stacks the
-# two are about even at degree 16, and from degree 24 up the FFT is at
-# least 1.4 times faster.
+# degree while the product's grows linearly.  On one-column stacks the two
+# are about even at degree 16, and from degree 24 up the FFT is at least
+# 1.4 times faster.  Two-column stacks, one product per stack, are about
+# even at degree 32 (16 x 33 x 2 at M = 512: 81 us against 82 us); at
+# psh_grid's degree 8 (16 x 9 x 2) the product takes 38 us, the FFT 85 us.
 _FFT_ROWS = 25
 
 
@@ -92,13 +96,16 @@ def stacked_boundaries(coeffs: np.ndarray, M: int, out: np.ndarray) -> np.ndarra
     """Values of every disc of a stack on the M-node boundary grid.
 
     coeffs has shape (n, rows, width), out shape (n, M, width) with unit
-    stride along M; out is returned.  This is the one routine that computes
-    disc boundaries.  Each disc takes one of two branches by its degree with
-    zero top rows dropped, the degree ``AnalyticDisc`` gives it, so padding
-    a disc with zero rows never moves it to the other branch:
+    stride along M and (n, width, M) or (width, n, M) as its memory order;
+    out is returned.  This is the one routine that computes disc
+    boundaries.  Each disc takes one of two branches by its degree with zero
+    top rows dropped, the degree ``AnalyticDisc`` gives it, so padding a
+    disc with zero rows never moves it to the other branch:
 
     - below degree _FFT_ROWS - 1, a product with ``circle_powers``: one
-      BLAS call per disc, with the same operand layout whatever the stack;
+      BLAS call for the whole stack when discs have two or more columns,
+      its n * width rows in out's memory order, so written straight into
+      out; one call per disc for one-column discs;
     - from there up, the inverse DFT of the coefficients: rows are folded
       mod M (zeta^M = 1), zero-padded to M and transformed one disc row at
       a time.
@@ -121,9 +128,18 @@ def stacked_boundaries(coeffs: np.ndarray, M: int, out: np.ndarray) -> np.ndarra
 
 
 def _matmul_boundaries(coeffs, M, out):
-    P = circle_powers(M, coeffs.shape[1] - 1)
-    np.matmul(np.ascontiguousarray(coeffs).transpose(0, 2, 1), P,
-              out=out.transpose(0, 2, 1))
+    # Seen as (n, width, M), out is one (n * width, M) matrix in either
+    # memory order, (n, width, M) or (width, n, M): discs of two or more
+    # columns make one product with their rows in that order, written
+    # straight into out.  One-column discs keep one product each, which
+    # numpy sends through gemv: a stacked gemm rounds their rows otherwise.
+    _, rows, width = coeffs.shape
+    a, vals = coeffs.transpose(0, 2, 1), out.transpose(0, 2, 1)
+    if width > 1:
+        if vals.strides[1] > vals.strides[0]:
+            a, vals = a.transpose(1, 0, 2), vals.transpose(1, 0, 2)
+        a, vals = a.reshape(1, -1, rows), vals.reshape((1, -1, M), copy=False)
+    np.matmul(np.ascontiguousarray(a), circle_powers(M, rows - 1), out=vals)
     return out
 
 

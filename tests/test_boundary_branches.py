@@ -5,6 +5,9 @@ below degree 24 and an inverse FFT from degree 24 up.  Both must give the
 polynomial's values on the M nodes to rounding, no disc of degree 24 or
 more may build a powers matrix, and the search must still report values
 that recompute bit for bit through ``poisson_functional`` on the FFT side.
+The product is one BLAS call for a whole stack of multi-column discs, in
+either layout of ``out``, and one per disc for one-column discs; either way
+each row is the disc's lone boundary bit for bit.
 """
 
 import numpy as np
@@ -19,7 +22,14 @@ from pshenv.disc import (
     boundary_from_coeffs,
     stacked_boundaries,
 )
-from pshenv.envelope import SearchBudget, _Frame, _score, _score_stack, envelope_at
+from pshenv.envelope import (
+    _STACK_SAMPLES,
+    SearchBudget,
+    _Frame,
+    _score,
+    _score_stack,
+    envelope_at,
+)
 from pshenv.functional import QuadratureSpec, parse_field, poisson_functional
 from pshenv.hull import CompactSet, membership_field
 from pshenv.space import BranchMap, curve_space, euclidean_space
@@ -57,6 +67,13 @@ def _random_stack(rng, n, degree, dim, spread):
 
 def _same_bits(a, b):
     return np.array_equal(np.float64(a).view(np.int64), np.float64(b).view(np.int64))
+
+
+def _same_samples(a, b):
+    # Complex arrays bit for bit, signed zeros included.
+    return a.shape == b.shape and all(
+        np.array_equal(x.view(np.int64), y.view(np.int64))
+        for x, y in ((a.real, b.real), (a.imag, b.imag)))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -123,7 +140,8 @@ def test_no_powers_matrix_is_built_for_fft_sized_discs(monkeypatch):
         c = rng.normal(size=(3, rows, 2)) + 0j
         c[1, 1:] = 0.0       # a constant disc inside a high-degree stack
         c[2, FFT_DEGREE:] = 0.0
-        out = np.empty((3, 64, 2), dtype=complex)
+        # out with unit stride along M, as stacked_boundaries requires.
+        out = np.empty((3, 2, 64), dtype=complex).transpose(0, 2, 1)
         got = stacked_boundaries(c, 64, out)
         for k in range(3):
             assert np.array_equal(got[k], boundary_from_coeffs(c[k], 64))
@@ -137,3 +155,74 @@ def test_no_powers_matrix_is_built_for_fft_sized_discs(monkeypatch):
                 euclidean_space(1, [0j], [1.0]), np.array([0.3 + 0j]), b,
                 QuadratureSpec(M=64))
     assert set(transformed) == {33} and max(built) < disc._FFT_ROWS
+
+
+def _both_layouts(n, width, M):
+    # The two layouts out comes in: (n, width, M) in memory, as
+    # boundary_from_coeffs, _project_batch and the FFT split give it, and
+    # (width, n, M), as _score_stack gives it.
+    yield np.empty((n, width, M), dtype=complex).transpose(0, 2, 1)
+    yield np.empty((width, n, M), dtype=complex).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("M", [16, 48, 128, 512])
+@pytest.mark.parametrize("width", [2, 3])
+def test_product_rows_are_the_disc_alone_in_both_layouts(M, width):
+    # Two- and three-column stacks make one product over all their rows;
+    # every row must still be that disc's lone boundary, for stacks of one
+    # disc up to the descent's whole sample budget.
+    rng = np.random.default_rng(M * width)
+    full = _STACK_SAMPLES // (width * M)
+    for rows in range(1, FFT_DEGREE + 1):
+        for n in sorted({1, 2, max(1, full // 3), full}):
+            c = (rng.normal(size=(n, rows, width))
+                 + 1j * rng.normal(size=(n, rows, width)))
+            c *= 10.0 ** rng.uniform(-3, 6, size=(n, 1, 1))
+            alone = [boundary_from_coeffs(c[k], M) for k in range(n)]
+            for out in _both_layouts(n, width, M):
+                got = stacked_boundaries(c, M, out)
+                assert got is out
+                for k in range(n):
+                    assert _same_samples(got[k], alone[k]), (rows, n, k)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_zero_top_rows_keep_a_multi_column_discs_bits(width):
+    # A disc padded with zero top rows, as a search stack carries it, gets
+    # the bits of its trimmed coefficients on the product branch.
+    rng = np.random.default_rng(width)
+    for M in (16, 128, 512):
+        for rows in range(1, FFT_DEGREE):
+            c = (rng.normal(size=(4, rows, width))
+                 + 1j * rng.normal(size=(4, rows, width)))
+            for pad in sorted({1, 3, FFT_DEGREE - rows}):
+                padded = np.concatenate([c, np.zeros((4, pad, width))], axis=1)
+                for out in _both_layouts(4, width, M):
+                    got = stacked_boundaries(padded, M, out)
+                    for k in range(4):
+                        assert _same_samples(got[k], boundary_from_coeffs(c[k], M))
+
+
+def test_a_c2_stack_makes_one_product_and_c1_rows_one_each(monkeypatch):
+    # psh_grid's C^2 descent stack, 16 trials of degree 8 at M = 512, is one
+    # (32 x 9)(9 x 512) product; a C^1 stack keeps one (1 x 9) product per
+    # disc, and each of its rows is that lone product.
+    shapes = []
+    real = np.matmul
+
+    def counting(a, b, out):
+        shapes.append(a.shape)
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    rng = np.random.default_rng(11)
+    P = disc.circle_powers(512, 8)
+    for width, want in ((2, [(1, 32, 9)]), (1, [(16, 1, 9)])):
+        c = rng.normal(size=(16, 9, width)) + 1j * rng.normal(size=(16, 9, width))
+        out = np.empty((width, 16, 512), dtype=complex).transpose(1, 2, 0)
+        shapes.clear()
+        stacked_boundaries(c, 512, out)
+        assert shapes == want
+        if width == 1:
+            for k in range(16):
+                assert _same_samples(out[k], real(c[k].T, P).T)

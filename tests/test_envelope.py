@@ -665,21 +665,22 @@ def test_descent_scores_two_rows_per_stack_at_m_512(monkeypatch):
 
 
 def test_project_in_batches_matches_single_disc_repair():
-    # 40 discs at M = 128 in C^1 span ten repair batches of four; each disc
-    # gets the repair it gets alone, and bnds its own boundary.
+    # 160 discs at M = 128 in C^1 span three repair batches of 64
+    # (_STACK_SAMPLES / (dim * M)), the last one partial; each disc gets
+    # the repair it gets alone, and bnds its own boundary.
     q = QuadratureSpec(M=128)
     frame = _Frame(parse_field("0"), euclidean_space(1, [0j], [1.0]))
-    assert _STACK_SAMPLES // (_RHO_GRID.size * q.M) == 4
+    assert _STACK_SAMPLES // (frame.dim * q.M) == 64
     rng = np.random.default_rng(9)
-    stack = (rng.normal(size=(40, 7, 1))
-             + 1j * rng.normal(size=(40, 7, 1))) * rng.choice(
-                 [0.3, 1.0, 4.0], size=(40, 1, 1))
-    stack[:, 0] = 0.9 * (rng.random((40, 1)) - 0.5)
+    stack = (rng.normal(size=(160, 7, 1))
+             + 1j * rng.normal(size=(160, 7, 1))) * rng.choice(
+                 [0.3, 1.0, 4.0], size=(160, 1, 1))
+    stack[:, 0] = 0.9 * (rng.random((160, 1)) - 0.5)
     stack[::9, 0] = 0.99
     stack[::9, 1:] *= 40.0
     assert not frame.fits(np.stack([boundary_from_coeffs(c, q.M)
                                     for c in stack])).any()
-    bnds = np.empty((1, 40, q.M), dtype=complex).transpose(1, 2, 0)
+    bnds = np.empty((1, 160, q.M), dtype=complex).transpose(1, 2, 0)
     got = _project(frame, q, stack, bnds=bnds)
     assert got.shape == stack.shape
     for g, c, bnd in zip(got, stack, bnds):
