@@ -71,10 +71,6 @@ def _range(text: str) -> np.ndarray:
     return np.linspace(float(parts[0]), float(parts[1]), count)
 
 
-def _clip(text: str):
-    return None if text.lower() == "none" else float(text)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Section:
     """One config section: a reader per key, the keys it cannot do without,
@@ -120,8 +116,7 @@ _SCHEMA = {
          for key, f in _BUDGET_FIELDS.items()},
         required=("seed",)),
     "quadrature": _Section(
-        {"m": int, "clip": _clip},
-        defaults={"m": QuadratureSpec.M, "clip": QuadratureSpec.clip}),
+        {"m": int}, defaults={"m": QuadratureSpec.M}),
     "hull": _Section(
         {**_SET_KEYS, "x": _complexes, "u_radius": float, "eps": float,
          "window_center": _complexes, "window_radius": _floats},
@@ -291,7 +286,7 @@ def _parse_budget(cp) -> SearchBudget:
 def _parse_quadrature(cp) -> QuadratureSpec:
     sec = _section(cp, "quadrature")
     try:
-        return QuadratureSpec(M=sec["m"], clip=sec["clip"])
+        return QuadratureSpec(M=sec["m"])
     except ValueError as exc:
         raise ConfigError(f"bad [quadrature]: {exc}") from exc
 

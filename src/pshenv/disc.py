@@ -8,11 +8,10 @@ values are the branch pushforward of the parameter polynomial.
 Values on the M equispaced boundary nodes all come from one routine,
 ``stacked_boundaries``, which has two branches: a product with the powers
 matrix ``circle_powers`` below degree 24, an inverse FFT of the
-coefficients from degree 24 up.  The product is one BLAS call for a whole
-stack of discs with two or more columns and one per disc for one-column
-discs.  A disc gets the same bits in any stack as alone in
-``boundary_from_coeffs``, which ``poisson_functional`` recomputes the
-search's values with.
+coefficients from degree 24 up.  The product is one BLAS gemm for a whole
+stack, at every width.  A disc gets the same bits in any stack, with or
+without zero top rows, as alone in ``boundary_from_coeffs``, which
+``poisson_functional`` recomputes the search's values with.
 
 The composition machinery takes a base disc f together with a family of
 discs attached to its boundary points, compresses the family into a Laurent
@@ -55,11 +54,12 @@ COND_LIMIT = 1e12
 # Discs of degree _FFT_ROWS - 1 and up get their boundary values from an
 # inverse FFT, lower ones from a product with circle_powers (see
 # stacked_boundaries): per stack, the FFT's cost hardly grows with the
-# degree while the product's grows linearly.  On one-column stacks the two
-# are about even at degree 16, and from degree 24 up the FFT is at least
-# 1.4 times faster.  Two-column stacks, one product per stack, are about
-# even at degree 32 (16 x 33 x 2 at M = 512: 81 us against 82 us); at
-# psh_grid's degree 8 (16 x 9 x 2) the product takes 38 us, the FFT 85 us.
+# degree while the product's grows linearly.  With one gemm per stack the
+# two are about even at degree 32 at every width (at M = 512, 16 x 33 x 1:
+# 50 us against 55 us; 16 x 33 x 2: 81 against 82 us); at psh_grid's
+# degree 8 (16 x 9 x 2) the product takes 38 us, the FFT 85 us.  The
+# threshold stays where one product per one-column disc put it, because
+# moving it would move the bits of every disc of degree 24 to 31.
 _FFT_ROWS = 25
 
 
@@ -103,15 +103,15 @@ def stacked_boundaries(coeffs: np.ndarray, M: int, out: np.ndarray) -> np.ndarra
     disc with zero rows never moves it to the other branch:
 
     - below degree _FFT_ROWS - 1, a product with ``circle_powers``: one
-      BLAS call for the whole stack when discs have two or more columns,
-      its n * width rows in out's memory order, so written straight into
-      out; one call per disc for one-column discs;
+      BLAS gemm for the whole stack, its n * width rows in out's memory
+      order, so written straight into out;
     - from there up, the inverse DFT of the coefficients: rows are folded
       mod M (zeta^M = 1), zero-padded to M and transformed one disc row at
       a time.
 
-    Either branch gives a disc the bits ``boundary_from_coeffs`` gives it
-    alone, wherever it sits in the stack.
+    Either branch gives a disc the bits ``boundary_from_coeffs`` gives its
+    trimmed coefficients alone, wherever it sits in the stack and whatever
+    zero top rows it carries.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[1] < _FFT_ROWS:
@@ -129,17 +129,21 @@ def stacked_boundaries(coeffs: np.ndarray, M: int, out: np.ndarray) -> np.ndarra
 
 def _matmul_boundaries(coeffs, M, out):
     # Seen as (n, width, M), out is one (n * width, M) matrix in either
-    # memory order, (n, width, M) or (width, n, M): discs of two or more
-    # columns make one product with their rows in that order, written
-    # straight into out.  One-column discs keep one product each, which
-    # numpy sends through gemv: a stacked gemm rounds their rows otherwise.
-    _, rows, width = coeffs.shape
+    # memory order, (n, width, M) or (width, n, M): the stack makes one gemm
+    # with its rows in that order, written straight into out.  A gemm row
+    # does not depend on the other rows or on zero top rows; a lone row gets
+    # a zero row appended, since numpy sends a one-row product through gemv,
+    # which rounds it otherwise.
+    rows = coeffs.shape[1]
     a, vals = coeffs.transpose(0, 2, 1), out.transpose(0, 2, 1)
-    if width > 1:
-        if vals.strides[1] > vals.strides[0]:
-            a, vals = a.transpose(1, 0, 2), vals.transpose(1, 0, 2)
-        a, vals = a.reshape(1, -1, rows), vals.reshape((1, -1, M), copy=False)
-    np.matmul(np.ascontiguousarray(a), circle_powers(M, rows - 1), out=vals)
+    if vals.strides[1] > vals.strides[0]:
+        a, vals = a.transpose(1, 0, 2), vals.transpose(1, 0, 2)
+    a, vals = a.reshape(-1, rows), vals.reshape((-1, M), copy=False)
+    P = circle_powers(M, rows - 1)
+    if len(a) > 1:
+        np.matmul(np.ascontiguousarray(a), P, out=vals)
+    else:
+        vals[:] = np.matmul(np.concatenate([a, np.zeros_like(a)]), P)[:1]
     return out
 
 

@@ -262,8 +262,8 @@ def _score_stack(frame, q, trials):
             stack[:, out] = sub
             for i, c in zip(out.tolist(), fixed):
                 coeffs[i] = c
-    samples = frame.u_eff.values(stack.reshape(frame.dim, -1).T)
-    values, samples = boundary_means(samples.reshape(n, M), q.clip)
+    samples = frame.u_eff.values(stack.reshape(frame.dim, -1).T).reshape(n, M)
+    values = boundary_means(samples)
     scale = np.add.reduce(np.abs(samples), axis=1) / M
     tols = np.maximum(_NOISE_ULPS * scale, IMPROVE_TOL)
     tols[values == -np.inf] = IMPROVE_TOL
@@ -448,7 +448,7 @@ def _best_seed(frame, q, center, degree: int, incumbent: float):
         if fine:
             scored += scan(fine)
     best = min(scored, key=lambda s: (s[0], s[1]))
-    if best[0] >= incumbent - max(best[3], IMPROVE_TOL):
+    if best[0] >= incumbent - best[3]:
         return None
     return best[2], best[0]
 
@@ -618,20 +618,14 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
         if k * n_terms + deg_a > stage_degree:
             continue
         phases = [
-            compose_rh(base, lam, k, np.exp(2j * np.pi * pi / _N_PHASES),
-                       degree_cap=stage_degree).coeffs
+            _resize(compose_rh(base, lam, k, np.exp(2j * np.pi * pi / _N_PHASES),
+                               degree_cap=stage_degree).coeffs,
+                    stage_degree, frame.dim)
             for pi in range(_N_PHASES)
         ]
-        # The disc trims zero top rows, so phases may differ in degree; each
-        # degree is scored as one stack.
-        scored = [None] * len(phases)
-        for shape in {h.shape for h in phases}:
-            idx = [i for i, h in enumerate(phases) if h.shape == shape]
-            stacked = _score_stack(frame, q, [phases[i] for i in idx])
-            for i, hit in zip(idx, zip(*stacked)):
-                scored[i] = hit
+        scored = list(zip(*_score_stack(frame, q, phases)))
         for pi, (h_coeffs, hv, ht) in enumerate(scored):
-            if hv < best_val - max(ht, IMPROVE_TOL):
+            if hv < best_val - ht:
                 best_val, best_coeffs = float(hv), h_coeffs
                 best_k, best_pi = k, pi
         swept.append((k, float(np.mean([hv for _, hv, _ in scored]))))
@@ -675,12 +669,12 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
         source = "carried"
         for name, cand in cands:
             cc, cv, ct = _descend(frame, q, cand, d, b.descent_iters)
-            if cv < best_v - max(ct, IMPROVE_TOL):
+            if cv < best_v - ct:
                 best_c, best_v, source = cc, cv, name
         seed = _best_seed(frame, q, center, d, best_v)
         if seed is not None:
             cc, cv, ct = _descend(frame, q, seed[0], d, b.descent_iters)
-            if cv < best_v - max(ct, IMPROVE_TOL):
+            if cv < best_v - ct:
                 best_c, best_v, source = cc, cv, seed_source
         stages.append({"degree": d, "value": best_v, "source": source})
         rounds.append(best_v)
@@ -799,7 +793,7 @@ def envelope_grid(
         frame = _Frame(u, space, branch)
         coeffs = _resize(coeffs, top_degree, frame.dim)
         cc, cv, ct = _descend(frame, qq, coeffs, top_degree, b.descent_iters)
-        if cv < values[i] - max(ct, IMPROVE_TOL):
+        if cv < values[i] - ct:
             values[i] = cv
             wits[i] = AnalyticDisc(cc, branch)
             diags[i]["warm_start"] = True
@@ -931,7 +925,7 @@ def check_submean(
             terp = slices[label]
             vc = float(terp(np.array([f.coeffs[0, 0]]))[0])
             boundary = terp(boundary_from_coeffs(f.coeffs, qq.M)[:, 0])
-        avg = float(boundary_means(np.asarray(boundary)[None])[0][0])
+        avg = float(boundary_means(np.asarray(boundary)[None])[0])
         if vc > avg + tol:
             reports.append(
                 {

@@ -444,24 +444,20 @@ class QuadratureSpec:
     """Equispaced circle quadrature: M nodes (power of two, >= 16)."""
 
     M: int = 512
-    clip: float | None = None
 
     def __post_init__(self):
         if self.M < 16 or (self.M & (self.M - 1)) != 0:
             raise ValueError("quadrature M must be a power of two >= 16")
 
 
-def boundary_means(samples, clip: float | None = None):
+def boundary_means(samples):
     """Boundary averages of a stack of discs from their field samples.
 
     samples has shape (n, M): row i holds the field at the M boundary nodes
-    of disc i.  Samples are raised to clip when one is set, and a row that
-    holds -inf averages to -inf.  Each row is reduced on its own, so a disc
-    gets the same bits in a stack of one as in any stack.  Returns (means,
-    clipped samples).
+    of disc i, and a row that holds -inf averages to -inf.  Each row is
+    reduced on its own, so a disc gets the same bits in a stack of one as in
+    any stack.
     """
-    if clip is not None:
-        samples = np.maximum(samples, clip)
     with np.errstate(invalid="ignore"):
         means = np.add.reduce(samples, axis=1) / samples.shape[1]
     # -inf plus anything finite is -inf, so a row holding -inf has summed
@@ -469,19 +465,18 @@ def boundary_means(samples, clip: float | None = None):
     nan = np.isnan(means)
     if nan.any():
         means[nan] = np.where(np.isneginf(samples[nan]).any(axis=1), -np.inf, np.nan)
-    return means, samples
+    return means
 
 
 def poisson_functional(u: ScalarField, f, q: QuadratureSpec) -> float:
     """Boundary average of u along the disc (harmonic extension at 0).
 
     Exact for pluriharmonic integrands once M exceeds the composed degree;
-    returns -inf when any node value is -inf and no clip is set.  The value
-    is ``boundary_means`` of the disc as a stack of one, which is how the
+    returns -inf when any node value is -inf.  The value is
+    ``boundary_means`` of the disc as a stack of one, which is how the
     envelope search scores its trials.
     """
-    means, _ = boundary_means(u.values(f.boundary_values(q.M))[None], q.clip)
-    return float(means[0])
+    return float(boundary_means(u.values(f.boundary_values(q.M))[None])[0])
 
 
 def arc_functional(u: ScalarField, f, q: QuadratureSpec, arc) -> float:
@@ -503,8 +498,6 @@ def arc_functional(u: ScalarField, f, q: QuadratureSpec, arc) -> float:
     w[np.abs(t - t1) <= eps] += 0.5
     w[np.abs(t + TWO_PI - t1) <= eps] += 0.5
     vals = u.values(f.boundary_values(M))
-    if q.clip is not None:
-        vals = np.maximum(vals, q.clip)
     active = w > 0
     if np.isneginf(vals[active]).any():
         return float("-inf")

@@ -309,7 +309,7 @@ def verify_certificate(
     for i, rho in enumerate(rho_list):
         rho_x = eval_field(rho, cert.x)
         vals = rho.values(nodes)
-        disc_avg = float(boundary_means(vals[None])[0][0])
+        disc_avg = float(boundary_means(vals[None])[0])
         sup_v = float(np.max(rho.values(v_cloud))) if len(v_cloud) else -np.inf
         sup_v = max(sup_v, float(np.max(vals)))
         sup_u = float(np.max(rho.values(u_cloud))) if len(u_cloud) else -np.inf

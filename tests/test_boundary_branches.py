@@ -4,10 +4,10 @@
 below degree 24 and an inverse FFT from degree 24 up.  Both must give the
 polynomial's values on the M nodes to rounding, no disc of degree 24 or
 more may build a powers matrix, and the search must still report values
-that recompute bit for bit through ``poisson_functional`` on the FFT side.
-The product is one BLAS call for a whole stack of multi-column discs, in
-either layout of ``out``, and one per disc for one-column discs; either way
-each row is the disc's lone boundary bit for bit.
+that recompute bit for bit through ``poisson_functional`` on either side.
+The product is one BLAS gemm for a whole stack at every width, in either
+layout of ``out``, and each row is the disc's lone boundary bit for bit,
+with or without zero top rows.
 """
 
 import numpy as np
@@ -38,6 +38,7 @@ FFT_DEGREE = disc._FFT_ROWS - 1
 EPS = np.finfo(float).eps
 
 CUSP = BranchMap("cusp", ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]))
+NODE = BranchMap("node", ([-1, 0, 1], [0, -1, 0, 1]))
 CIRCLE = CompactSet.from_points(
     [[np.exp(2j * np.pi * k / 16)] for k in range(16)], blow_radius=0.05)
 
@@ -166,11 +167,11 @@ def _both_layouts(n, width, M):
 
 
 @pytest.mark.parametrize("M", [16, 48, 128, 512])
-@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("width", [1, 2, 3])
 def test_product_rows_are_the_disc_alone_in_both_layouts(M, width):
-    # Two- and three-column stacks make one product over all their rows;
-    # every row must still be that disc's lone boundary, for stacks of one
-    # disc up to the descent's whole sample budget.
+    # A stack makes one product over all its rows; every row must still be
+    # that disc's lone boundary, for stacks of one disc up to the descent's
+    # whole sample budget.
     rng = np.random.default_rng(M * width)
     full = _STACK_SAMPLES // (width * M)
     for rows in range(1, FFT_DEGREE + 1):
@@ -186,8 +187,8 @@ def test_product_rows_are_the_disc_alone_in_both_layouts(M, width):
                     assert _same_samples(got[k], alone[k]), (rows, n, k)
 
 
-@pytest.mark.parametrize("width", [2, 3])
-def test_zero_top_rows_keep_a_multi_column_discs_bits(width):
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_zero_top_rows_keep_a_discs_bits(width):
     # A disc padded with zero top rows, as a search stack carries it, gets
     # the bits of its trimmed coefficients on the product branch.
     rng = np.random.default_rng(width)
@@ -203,26 +204,47 @@ def test_zero_top_rows_keep_a_multi_column_discs_bits(width):
                         assert _same_samples(got[k], boundary_from_coeffs(c[k], M))
 
 
-def test_a_c2_stack_makes_one_product_and_c1_rows_one_each(monkeypatch):
+def test_a_stack_makes_one_product_at_every_width(monkeypatch):
     # psh_grid's C^2 descent stack, 16 trials of degree 8 at M = 512, is one
-    # (32 x 9)(9 x 512) product; a C^1 stack keeps one (1 x 9) product per
-    # disc, and each of its rows is that lone product.
+    # (32 x 9)(9 x 512) product and a C^1 stack one (16 x 9) product; a lone
+    # one-column disc takes a zero row along, so that its product is a gemm
+    # like a stack's and not a gemv.
     shapes = []
     real = np.matmul
 
-    def counting(a, b, out):
+    def counting(a, b, out=None):
         shapes.append(a.shape)
         return real(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", counting)
     rng = np.random.default_rng(11)
-    P = disc.circle_powers(512, 8)
-    for width, want in ((2, [(1, 32, 9)]), (1, [(16, 1, 9)])):
-        c = rng.normal(size=(16, 9, width)) + 1j * rng.normal(size=(16, 9, width))
-        out = np.empty((width, 16, 512), dtype=complex).transpose(1, 2, 0)
+    for n, width, want in ((16, 2, [(32, 9)]), (16, 1, [(16, 9)]),
+                           (1, 1, [(2, 9)])):
+        c = rng.normal(size=(n, 9, width)) + 1j * rng.normal(size=(n, 9, width))
+        out = np.empty((width, n, 512), dtype=complex).transpose(1, 2, 0)
         shapes.clear()
         stacked_boundaries(c, 512, out)
         assert shapes == want
-        if width == 1:
-            for k in range(16):
-                assert _same_samples(out[k], real(c[k].T, P).T)
+
+
+# Searches whose values did not recompute from their witnesses while a
+# one-column disc's product depended on its stack: the C^1 obstacle, a log
+# pole and the nodal cubic, each at M = 64 with 3 sweeps.
+RECOMPUTE_CASES = {
+    "c1_obstacle": ("min(abs2(z1), 0.1)", euclidean_space(1), (2, 3), 1, 1,
+                    [-1.5566572372187268 + 0.25815688490831445j]),
+    "c1_log": ("log(0.001 + abs2(z1 - 0.3))", euclidean_space(1), (6, 7), 0,
+               0, [-0.17841227602723286 - 0.5780991868684293j]),
+    "node": ("min(abs2(z1) + abs2(z2), 0.1)", curve_space((NODE,)), (2, 3), 0,
+             0, NODE.eval(0.6585852676564852 + 0.49348692123556526j)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOMPUTE_CASES))
+def test_one_column_search_values_recompute_from_their_witness(case):
+    expr, space, degrees, restarts, seed, x = RECOMPUTE_CASES[case]
+    u, q = parse_field(expr), QuadratureSpec(M=64)
+    b = SearchBudget(degree_schedule=degrees, restarts=restarts,
+                     descent_iters=3, seed=seed)
+    value, witness, _ = envelope_at(u, space, np.asarray(x), b, q)
+    assert _same_bits(poisson_functional(u, witness, q), value)

@@ -354,6 +354,7 @@ child_degree = 2
     ("seed = 4", "seed = 4\nn_phases = 0", "n_phases"),
     ("seed = 4", "seed = 4\nlaurent_m = 1", "laurent_m"),
     ("seed = 4", "seed = 4\nchild_degrees = 3", "child_degrees"),
+    ("m = 64", "m = 64\nclip = -40", "clip"),
 ])
 def test_bad_budget_value_or_key_is_named(tmp_path, capsys, old, new, key):
     cfg = write(tmp_path / "run.cfg", ENVELOPE_CFG.replace(old, new))
