@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pshenv.errors import NotConverged
 from pshenv.functional import parse_field
@@ -83,6 +85,48 @@ def test_minorant_constraints_and_maximality():
         assert bumped > u[iy[idx], ix[idx]] or bumped > avg[idx]
 
 
+@pytest.mark.parametrize("n", [65, 129])
+def test_default_tol_lands_near_the_fixed_point(n):
+    # tol bounds the last Gauss-Seidel step, not the distance to the
+    # discrete fixed point; the solve must still land within 10 tol of it.
+    tol = 1e-10
+    dom = grid_domain(n, mask="disc")
+    u = field_on_grid(parse_field("-indicator(ball(0, 0; 0.25))"), dom)
+    v = subharmonic_minorant(u, dom, tol=tol)
+    fixed = subharmonic_minorant(u, dom, tol=1e-13)
+    m = dom.mask
+    assert np.max(np.abs(v[m] - fixed[m])) <= 10 * tol
+
+
+_coef = st.integers(-8, 8).map(lambda k: k / 4)
+_centre = st.integers(-4, 4).map(lambda k: k / 8)
+_term = st.one_of(
+    _coef.map(lambda c: f"{c} * re(z1)"),
+    _coef.map(lambda c: f"{c} * abs2(z1)"),
+    st.builds(lambda c, x, y, r: f"{c} * indicator(ball({x}, {y}; {r}))",
+              _coef, _centre, _centre, st.sampled_from([0.15, 0.25, 0.4])),
+)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(terms=st.lists(_term, min_size=1, max_size=4),
+       mask=st.sampled_from(["rect", "disc", "annulus"]),
+       n=st.sampled_from([33, 49, 65]))
+def test_minorant_post_conditions_on_generated_obstacles(terms, mask, n):
+    tol = 1e-10
+    dom = grid_domain(n, mask=mask, inner=0.3 if mask == "annulus" else 0.0)
+    u = field_on_grid(parse_field(" + ".join(terms)), dom)
+    v = subharmonic_minorant(u, dom, tol=tol)  # NotConverged fails the test
+    m = dom.mask
+    assert np.all(v[m] <= u[m])
+    iy, ix = np.nonzero(dom.interior())
+    avg = 0.25 * (v[iy - 1, ix] + v[iy + 1, ix] + v[iy, ix - 1] + v[iy, ix + 1])
+    assert np.all(v[iy, ix] <= avg + 10 * tol)
+    # raising any node by 2 tol breaks obstacle or submean
+    bumped = v[iy, ix] + 2 * tol
+    assert np.all((bumped > u[iy, ix]) | (bumped > avg))
+
+
 def test_minorant_not_converged_attaches_iterate():
     dom = grid_domain(65, mask="disc")
     u = field_on_grid(parse_field("-indicator(ball(0, 0; 0.25))"), dom)
@@ -93,8 +137,9 @@ def test_minorant_not_converged_attaches_iterate():
 
 
 def reference_minorant(u_grid, domain, tol=1e-10, max_iters=10 ** 6):
-    # The same red/black relaxation on 2-D fancy indices rebuilt every
+    # The same red/black projected SOR on 2-D fancy indices rebuilt every
     # sweep: the flat-index routine must reproduce its iterates bit for bit.
+    omega = 2.0 / (1.0 + np.sin(np.pi / (domain.n - 1)))
     interior = domain.interior()
     iy, ix = np.nonzero(interior)
     red = ((iy + ix) % 2 == 0)
@@ -104,12 +149,14 @@ def reference_minorant(u_grid, domain, tol=1e-10, max_iters=10 ** 6):
     for it in range(1, max_iters + 1):
         delta = 0.0
         for gy, gx in groups:
+            old = v[gy, gx]
             avg = 0.25 * (v[gy - 1, gx] + v[gy + 1, gx]
                           + v[gy, gx - 1] + v[gy, gx + 1])
-            new = np.minimum(u_grid[gy, gx], avg)
-            step = np.max(np.abs(new - v[gy, gx])) if gy.size else 0.0
+            gs = np.minimum(u_grid[gy, gx], avg)
+            step = np.max(np.abs(gs - old)) if gy.size else 0.0
             delta = max(delta, float(step))
-            v[gy, gx] = new
+            sor = np.minimum(u_grid[gy, gx], old + omega * (avg - old))
+            v[gy, gx] = np.where(np.isnan(sor), gs, sor)
         if delta < tol:
             return v
     raise NotConverged("reference did not converge", iterate=v)
