@@ -291,6 +291,17 @@ def _parse_quadrature(cp) -> QuadratureSpec:
         raise ConfigError(f"bad [quadrature]: {exc}") from exc
 
 
+def _parse_search(cp) -> tuple:
+    """(budget, quadrature) of a search; its discs need degree below M."""
+    budget, q = _parse_budget(cp), _parse_quadrature(cp)
+    top = budget.degree_schedule[-1]
+    if top >= q.M:
+        raise ConfigError(
+            f"[budget] degrees: top degree {top} must be below [quadrature] m = {q.M}"
+        )
+    return budget, q
+
+
 def _parse_compact_set(sec) -> CompactSet:
     balls, boxes = [], []
     for toks in sec["balls"]:
@@ -458,8 +469,7 @@ def _run_envelope(cp, args, manifest) -> int:
     space = _parse_space(cp)
     u = _parse_field(_section(cp, "field"))
     grid = _parse_grid(cp, space)
-    budget = _parse_budget(cp)
-    q = _parse_quadrature(cp)
+    budget, q = _parse_search(cp)
     manifest["seed"] = budget.seed
     est = envelope_grid(u, space, grid, budget, q, threads=args.threads)
     _write_results(args.out, est, manifest)
@@ -474,10 +484,10 @@ def _run_hull(cp, args, manifest) -> int:
     window = None
     if "window_radius" in sec:
         window = polydisc(K.ambient_dim, sec["window_radius"], sec.get("window_center"))
-    budget = _parse_budget(cp)
+    budget, q = _parse_search(cp)
     manifest["seed"] = budget.seed
     result = hull_membership(
-        K, sec["x"], sec["u_radius"], sec["eps"], window, budget, _parse_quadrature(cp)
+        K, sec["x"], sec["u_radius"], sec["eps"], window, budget, q
     )
     if isinstance(result, HullCertificate):
         save_certificate(result, os.path.join(args.out, "certificate.json"))

@@ -705,10 +705,18 @@ def envelope_at(
     The witness is centered at x (bit-exactly) and the value equals
     ``poisson_functional(u, witness, q)``.  On curves every lift of x is
     searched and the best one wins; diagnostics record which.  Raises
-    PointOutsideWindow / PointNotOnSpace for points the space does not hold.
+    PointOutsideWindow / PointNotOnSpace for points the space does not hold,
+    and ValueError when the top degree of the schedule is not below q.M: on
+    the M nodes z^M = 1, so a disc such as x - x z^M would look constant
+    there and its node mean would say nothing about its Poisson integral.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
+    if b.degree_schedule[-1] >= qq.M:
+        raise ValueError(
+            f"top disc degree {b.degree_schedule[-1]} must be below the "
+            f"quadrature's M = {qq.M}"
+        )
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     if x.shape != (space.ambient_dim,):
         raise ValueError(f"point must have shape ({space.ambient_dim},)")

@@ -210,13 +210,17 @@ class BoxIndicator(FieldNode):
 
 @dataclass(frozen=True)
 class DistanceIndicator(FieldNode):
-    """Open neighborhood {dist(p, S) < radius} of a set with a distance callable."""
+    """Open neighborhood {dist(p, S) < radius} of a set S.
 
-    dist_fn: object  # callable pts (M, N) -> (M,) float
+    within(pts, radius) answers dist(pts, S) < radius as a bool array of
+    shape (M,) for points of shape (M, N); ``CompactSet.within`` is one.
+    """
+
+    within: object
     radius: float
 
     def ev(self, pts):
-        return (self.dist_fn(pts) < self.radius).astype(float)
+        return self.within(pts, self.radius).astype(float)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,62 @@ from .space import DomainConstraint, SpaceModel, polydisc
 
 TWO_PI = 2.0 * np.pi
 
+# The range in which CompactSet.within decides from its product:
+# ||x||^2, ||y_b||^2 and (r_b + U)^2 at most _SCREEN_MAX, so nothing in
+# either computation overflows, and U at least _SCREEN_MIN_RADIUS, so
+# (r_b + U)^2 >= 2^-960 and underflow adds less than u * 2^-60 times it.
+# Outside that range within() is distance() < U outright.
+_SCREEN_MAX = 2.0**1000
+_SCREEN_MIN_RADIUS = 2.0**-480
+
+
+def _screen_slack(N: int) -> float:
+    """Relative slack of CompactSet.within's screen in C^N: 2 (6N + 27) u.
+
+    Notation: u = 2^-53, gamma_k = k u / (1 - k u); x, y_b in R^{2N} are
+    the real vectors of a point p and of a ball's centre c_b; T_b =
+    ||x - y_b||^2 and t_b = (r_b + U)^2 exactly, U > 0; all inside the
+    range above.
+
+    The exact rule.  distance(p) < U holds iff some ball has
+    e_b = fl(fl(sqrt(S_b)) - r_b) < U (max(0, e) < U iff e < U, since
+    U > 0; boxes are tested apart), where S_b sums fl(h_j^2) over the N
+    coordinates and h_j = hypot(fl(Re p_j - Re c_j), fl(Im p_j - Im c_j))
+    is within one ulp (2u relative).  Each term carries 7 relative errors
+    of u (two from the differences, two from hypot, all squared, and the
+    square's rounding), the sum N - 1 more and underflow one, so
+    S_b = T_b (1 + theta) with |theta| <= gamma_{N+7}.  With k = N + 7:
+      - e_b < U gives either d = fl(sqrt(S_b)) = sqrt(S_b)(1 + eps) <= r_b,
+        or d < r_b + U / (1 - u) <= (r_b + U) / (1 - u); either way
+        T_b = d^2 / ((1 + theta)(1 + eps)^2) < t_b / ((1 - u)^4 (1 - gamma_k))
+            <= t_b (1 + kappa u);
+      - e_b >= U gives d >= r_b + U / (1 + u) >= (r_b + U) / (1 + u), so
+        T_b >= t_b / ((1 + u)^4 (1 + gamma_k)) >= t_b (1 - kappa u);
+    with kappa = 2(k + 4) = 2N + 22, valid while (N + 11) u <= 1/10.  So
+    the rule says "inside" for ball b whenever T_b - t_b < -kappa u t_b,
+    and "outside" whenever T_b - t_b >= kappa u t_b.
+
+    The screen.  With w_b = fl(fl(||y_b||^2) - fl(fl(r_b + U)^2)), it
+    computes s_b = fl(<(2 y_b, w_b), (x, -1)>), a dot of length 2N + 1 in
+    any order, and q = fl(||x||^2).  Then q - s_b approximates
+    D_b = T_b - t_b = ||x||^2 - 2 <y_b, x> + ||y_b||^2 - t_b (the product
+    form of the squared distance) with
+      |(q - s_b) - D_b| <= gamma_{2N} ||x||^2 + gamma_{2N+1} (||x||^2
+                           + ||y_b||^2 + |w_b|) + |w_b - ||y_b||^2 + t_b|,
+    which is (4N + 1) u ||x||^2 + (6N + 3) u ||y_b||^2 + (2N + 5) u t_b
+    to first order.  The decisions are fl(q + delta) < max_b s_b
+    ("inside": the maximizing ball has D_b < -kappa u t_b) and
+    fl(q - delta) >= max_b s_b ("outside": every ball has
+    D_b >= kappa u t_b).  Each is sound when delta covers the error
+    above, the comparison's own rounding u q and kappa u t_b, which is
+    (4N + 2) u ||x||^2 + (6N + 3) u ||y_b||^2 + (4N + 27) u t_b to first
+    order, at most (6N + 27) u (||x||^2 + max ||y_b||^2 + max t_b).
+    delta is twice that: while (6N + 27) u <= 1/100, the factor 2 covers
+    the second-order terms, the rounding of delta itself, and underflow's
+    absolute errors, below (4N + 4) 2^-1075 << u * 2^-960 <= u t_b.
+    """
+    return 2.0 * (6 * N + 27) * 2.0**-53
+
 
 @dataclass(frozen=True)
 class CompactSet:
@@ -52,8 +108,10 @@ class CompactSet:
         for center, radius in self.balls:
             c = np.atleast_1d(np.array(center, dtype=complex))
             r = float(radius)
-            if r < 0:
-                raise ValueError("ball radius must be >= 0")
+            if not 0 <= r < np.inf:
+                raise ValueError("ball radius must be finite and >= 0")
+            if not np.all(np.isfinite(c)):
+                raise ValueError("ball center must be finite")
             c.flags.writeable = False
             balls.append((c, r))
         boxes = []
@@ -62,6 +120,8 @@ class CompactSet:
             hi = np.atleast_1d(np.array(hi, dtype=complex))
             if lo.shape != hi.shape:
                 raise ValueError("box corners must have matching length")
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise ValueError("box corners must be finite")
             if np.any(hi.real < lo.real) or np.any(hi.imag < lo.imag):
                 raise ValueError("box needs lo <= hi in both re and im")
             lo.flags.writeable = False
@@ -74,6 +134,15 @@ class CompactSet:
             raise ValueError("all parts must share one ambient dimension")
         object.__setattr__(self, "balls", tuple(balls))
         object.__setattr__(self, "boxes", tuple(boxes))
+        # The screen of within() takes each ball's real centre vector
+        # y_b = (Re c_b, Im c_b), doubled (exactly), and ||y_b||^2.
+        (dim,) = dims
+        cs = np.array([c for c, _ in balls], dtype=complex).reshape(-1, dim)
+        y = np.concatenate([cs.real, cs.imag], axis=1)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "_y2", 2.0 * y)
+            object.__setattr__(self, "_yy", np.einsum("ij,ij->i", y, y))
+        object.__setattr__(self, "_radii", np.array([r for _, r in balls]))
 
     @classmethod
     def from_points(cls, points, blow_radius: float = 0.0) -> "CompactSet":
@@ -87,17 +156,75 @@ class CompactSet:
         return self.boxes[0][0].size
 
     def distance(self, pts) -> np.ndarray:
-        """Euclidean distance to the set; exactly 0.0 on it."""
+        """Euclidean distance to the set; exactly 0.0 on it.
+
+        The exact reference: ``contains``, ``within``'s fallback and the
+        sample clouds of ``verify_certificate`` use it.  The hull fields ask
+        only whether the distance is below a radius, and ``within`` answers
+        that faster.
+        """
         pts = np.asarray(pts, dtype=complex)
         best = np.full(pts.shape[:-1], np.inf)
         for c, r in self.balls:
             d = np.sqrt(np.sum(np.abs(pts - c) ** 2, axis=-1))
             best = np.minimum(best, np.maximum(0.0, d - r))
+        return self._box_distance(pts, best)
+
+    def _box_distance(self, pts, best):
+        """best lowered, elementwise, to the distance to each box."""
         for lo, hi in self.boxes:
             dre = np.maximum(np.maximum(lo.real - pts.real, pts.real - hi.real), 0.0)
             dim = np.maximum(np.maximum(lo.imag - pts.imag, pts.imag - hi.imag), 0.0)
             best = np.minimum(best, np.sqrt(np.sum(dre**2 + dim**2, axis=-1)))
         return best
+
+    def within(self, pts, radius) -> np.ndarray:
+        """Exactly ``distance(pts) < radius``, element for element.
+
+        pts has shape (..., N) in any memory layout; the result is a bool
+        array of shape pts.shape[:-1].  One real product scores every point
+        against every ball at once (see _screen_slack); the points that
+        product cannot decide under its rounding bound, and non-finite
+        points, get ``distance``.  Boxes are tested exactly, as in
+        ``distance``.
+        """
+        pts = np.asarray(pts, dtype=complex)
+        radius = float(radius)
+        if not (self.balls and radius >= _SCREEN_MIN_RADIUS):
+            return self.distance(pts) < radius
+        t = (self._radii + radius) ** 2
+        reach = self._yy.max() + t.max()
+        if not reach <= _SCREEN_MAX:
+            return self.distance(pts) < radius
+        N = self.ambient_dim
+        flat = pts.reshape(-1, N)
+        n = len(flat)
+        # X = (Re p; Im p; -1), shape (2N + 1, n), against Y's rows
+        # (2 y_b, ||y_b||^2 - t_b): the constant enters each score through
+        # the same dot.
+        X = np.empty((2 * N + 1, n))
+        X[:N] = flat.real.T
+        X[N:-1] = flat.imag.T
+        X[-1] = -1.0
+        Y = np.concatenate([self._y2, (self._yy - t)[:, None]], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # s = max_b 2<y_b, x> - ||y_b||^2 + t_b, so that
+            # q - s = min_b (|x - y_b|^2 - t_b).  With the balls on axis 0
+            # the reduce takes whole rows at a time; in the (n, B) layout,
+            # reduced along its last axis, it cost more than the old loop.
+            s = np.maximum.reduce(Y @ X, axis=0)
+            q = np.einsum("ij,ij->j", X[:-1], X[:-1])
+            slack = _screen_slack(N) * (q + reach)
+            fine = q <= _SCREEN_MAX  # False at NaN and inf
+            inside = fine & (q + slack < s)
+            unsure = ~(inside | (fine & (q - slack >= s)))
+        out = inside
+        if unsure.any():
+            idx = np.flatnonzero(unsure)
+            out[idx] = self.distance(flat[idx]) < radius
+        if self.boxes:
+            out |= self._box_distance(flat, np.full(n, np.inf)) < radius
+        return out.reshape(pts.shape[:-1])
 
     def contains(self, p) -> bool:
         return float(self.distance(np.atleast_1d(np.asarray(p, complex)))) == 0.0
@@ -172,9 +299,21 @@ class NotFound:
     diagnostics: dict
 
 
+def _check_U(U_radius) -> float:
+    """U_radius as a float; the neighborhood U needs a finite radius > 0."""
+    U = float(U_radius)
+    if not 0 < U < np.inf:
+        raise ValueError(f"U_radius must be finite and > 0, got {U_radius!r}")
+    return U
+
+
 def membership_field(K: CompactSet, U_radius: float) -> ScalarField:
-    """-1 on the open neighborhood {dist(.,K) < U_radius}, 0 elsewhere."""
-    return ScalarField(Op("neg", (DistanceIndicator(K.distance, float(U_radius)),)))
+    """-1 on the open neighborhood {dist(.,K) < U_radius}, 0 elsewhere.
+
+    The field asks ``K.within`` for each batch of points.  Raises
+    ValueError unless U_radius is finite and > 0.
+    """
+    return ScalarField(Op("neg", (DistanceIndicator(K.within, _check_U(U_radius)),)))
 
 
 def exceptional_nodes(K: CompactSet, nodes, U_radius: float):
@@ -183,9 +322,17 @@ def exceptional_nodes(K: CompactSet, nodes, U_radius: float):
     nodes holds the disc's values at its M equispaced boundary nodes, shape
     (M, N).  Returns (mask, measure): which nodes lie at distance >=
     U_radius from K, and the exceptional measure 2*pi * (their number) / M
-    that a certificate records.
+    that a certificate records.  Raises ValueError unless U_radius is
+    finite and > 0.
     """
-    bad = K.distance(nodes) >= U_radius
+    U = _check_U(U_radius)
+    nodes = np.asarray(nodes, dtype=complex)
+    bad = ~K.within(nodes, U)
+    # At a non-finite node the distance can be NaN, which is neither < U
+    # nor >= U; such a node keeps the answer of distance >= U.
+    odd = ~np.isfinite(nodes).all(axis=-1)
+    if odd.any():
+        bad[odd] = K.distance(nodes[odd]) >= U
     return bad, TWO_PI * int(np.count_nonzero(bad)) / len(nodes)
 
 

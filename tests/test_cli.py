@@ -442,6 +442,15 @@ def test_inconsistent_values_are_named(tmp_path, capsys, section, values,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [ENVELOPE_CFG, HULL_CFG])
+def test_search_degree_at_or_above_m_is_named(tmp_path, capsys, text):
+    # Both configs have m <= 128; a disc of degree >= M is constant on the
+    # nodes wherever z^M is, so the search refuses it.
+    assert _run_edited(tmp_path, text, "budget", degrees="2 128") == 2
+    err = capsys.readouterr().err
+    assert "[budget] degrees" in err and "[quadrature] m" in err
+
+
 @pytest.mark.parametrize("stored", [
     {"values": [1.0]},
     {"points": [{"value": 0.5}]},

@@ -122,6 +122,24 @@ def test_search_dips_below_indicator_obstacle():
     assert -1.0 - 1e-9 <= v < -0.35
 
 
+def test_top_degree_must_be_below_m():
+    # On the M nodes z^M = 1, so x - x z^M is 0 at every node.  At M = 16
+    # this search returned -1.0 at x = 0.75 for degrees (16,), where the
+    # envelope is log(0.75) / log(4) = -0.2075.
+    u = parse_field("-indicator(ball(0, 0; 0.25))")
+    space = euclidean_space(1, radii=1.0)
+    q = QuadratureSpec(M=16)
+    for degrees in [(16,), (4, 32)]:
+        b = SearchBudget(degree_schedule=degrees, restarts=2, descent_iters=8,
+                         seed=1)
+        with pytest.raises(ValueError, match="below"):
+            envelope_at(u, space, [0.75], b, q)
+        with pytest.raises(ValueError, match="below"):
+            envelope_grid(u, space, [[0.75]], b, q)
+    b = SearchBudget(degree_schedule=(15,), restarts=2, descent_iters=8, seed=1)
+    assert envelope_at(u, space, [0.75], b, q)[0] > -1.0
+
+
 def test_outside_window_raises():
     u = parse_field("0")
     space = euclidean_space(1, radii=0.5)

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pshenv import cli
 from pshenv.envelope import SearchBudget
@@ -50,6 +53,13 @@ def test_compact_set_validation():
         CompactSet(boxes=(([1 + 0j], [0j]),))
     with pytest.raises(ValueError):
         CompactSet(balls=(([0j], 1.0), ([0j, 0j], 1.0)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            CompactSet(balls=(([0j], bad),))
+        with pytest.raises(ValueError):
+            CompactSet(balls=(([complex(bad, 0)], 1.0),))
+        with pytest.raises(ValueError):
+            CompactSet(boxes=(([0j], [complex(0, bad)]),))
 
 
 def test_distance_and_contains():
@@ -61,6 +71,95 @@ def test_distance_and_contains():
     assert K.distance(np.array([[3 + 2j]]))[0] == pytest.approx(1.0)
     assert K.contains([0.2 + 0.1j])
     assert not K.contains([5 + 0j])
+
+
+# Coordinates of centres, corners and points: moderate ones, and a few whose
+# squares underflow or overflow.
+_COORD = st.one_of(st.floats(-4, 4), st.sampled_from([1e-170, -3e150, 1e155, 1e300]))
+# U: moderate radii, and ones outside the screen's range, including radii
+# no neighbourhood has; within() must equal distance() < U at all of them.
+_U = st.one_of(st.floats(1e-3, 5),
+               st.sampled_from([2.0**-481, 2.0**-480, 1e-200, 1e160, 1e300,
+                                0.0, -3.0, np.inf, np.nan]))
+_ODD = [np.inf, -np.inf, np.nan, complex(np.inf, np.nan), 1e200, -1e300, 3e154]
+
+
+@st.composite
+def _sets_and_points(draw):
+    N = draw(st.integers(1, 3))
+
+    def vec():
+        return np.array([complex(draw(_COORD), draw(_COORD)) for _ in range(N)])
+
+    n_balls = draw(st.integers(0, 4))
+    radius = st.one_of(st.just(0.0), st.floats(0, 3), st.sampled_from([1e-300, 1e200]))
+    balls = tuple((vec(), draw(radius)) for _ in range(n_balls))
+    boxes = []
+    for _ in range(draw(st.integers(0 if balls else 1, 2))):
+        a, b = vec(), vec()
+        boxes.append((np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag),
+                      np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)))
+    K = CompactSet(balls=balls, boxes=tuple(boxes))
+    U = draw(_U)
+    pts = [vec() for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        p = vec()
+        p[draw(st.integers(0, N - 1))] = draw(st.sampled_from(_ODD))
+        pts.append(p)
+    # Points on one ball's (r + U)-shell along a coordinate axis, and up to
+    # four ulps either side of it.
+    shell, ball = [], None
+    if balls:
+        ball = c, r = balls[draw(st.integers(0, n_balls - 1))]
+        j = draw(st.integers(0, N - 1))
+        step = draw(st.sampled_from([1, -1, 1j, -1j])) * (r + U)
+        for k in range(-4, 5):
+            p = c.copy()
+            re, im = (c[j] + step).real, (c[j] + step).imag
+            if step.real:
+                re = re + k * np.spacing(re)
+            else:
+                im = im + k * np.spacing(im)
+            p[j] = complex(re, im)
+            shell.append(p)
+    pts = np.array(pts + shell, dtype=complex).reshape(-1, N)
+    return K, U, pts, np.array(shell, dtype=complex).reshape(-1, N), ball
+
+
+def _within_counting_fallback(K, pts, U):
+    """K.within(pts, U) and the number of points it handed to distance()."""
+    seen = []
+    exact = CompactSet.distance
+
+    def spy(self, p):
+        seen.append(int(np.prod(np.shape(p)[:-1])))
+        return exact(self, p)
+
+    with mock.patch.object(CompactSet, "distance", spy):
+        out = K.within(pts, U)
+    return out, sum(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sets_and_points())
+def test_within_is_distance_below_radius(case):
+    K, U, pts, shell, ball = case
+    with np.errstate(all="ignore"):
+        want = K.distance(pts) < U
+        # C-order (n, N), and the search's layout: a transposed (N, n) array.
+        for layout in (pts, np.ascontiguousarray(pts.T).T):
+            got = K.within(layout, U)
+            assert got.dtype == bool and np.array_equal(got, want)
+        if len(pts) and 0 < U < np.inf:
+            assert np.array_equal(exceptional_nodes(K, pts, U)[0],
+                                  K.distance(pts) >= U)
+        if ball is not None:
+            # Alone, the ball cannot decide points this close to its shell
+            # from the product: every one of them takes the exact distance.
+            lone = CompactSet(balls=(ball,))
+            got, fell_back = _within_counting_fallback(lone, shell, U)
+            assert np.array_equal(got, lone.distance(shell) < U)
+            assert fell_back == len(shell)
 
 
 def test_bounding_ball_covers_samples():
@@ -249,3 +348,34 @@ balls = 1+0j 0.3 ; -1+0j 0.3
     verified = json.loads((out / "verify.json").read_text())
     assert verified["exceptional_match"] is True
     assert verified["exceptional_fraction"] == report["exceptional_fraction"]
+
+
+@pytest.mark.parametrize("U", [0.0, -3.0, np.nan, np.inf])
+def test_neighborhood_radius_must_be_finite_and_positive(tmp_path, capsys, U):
+    # The screen behind within() is sound only for U > 0: at r = 1, U = -3
+    # its threshold (r + U)^2 = 4 would hold a point at distance 1.5 from
+    # the ball inside.  Both hull fields refuse such a U, and so does the
+    # verify command on a certificate that stores one.
+    with pytest.raises(ValueError, match="U_radius"):
+        membership_field(TWO_BALLS, U)
+    with pytest.raises(ValueError, match="U_radius"):
+        exceptional_nodes(TWO_BALLS, np.zeros((16, 1), complex), U)
+    obj = certificate_to_json(two_ball_certificate())
+    obj["U_radius"] = U
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"[run]\nmode = verify\n\n[verify]\ncertificate = {path}\n"
+                   "balls = 1+0j 0.3 ; -1+0j 0.3\n")
+    assert cli.main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+    assert "U_radius" in capsys.readouterr().err
+
+
+def test_search_degree_must_be_below_m():
+    # The search goes through envelope_at, which refuses a top degree >= M.
+    K = CompactSet(balls=(([0j], 0.25),))
+    b = SearchBudget(degree_schedule=(16,), restarts=2, descent_iters=8, seed=1)
+    with pytest.raises(ValueError, match="below"):
+        hull_membership(K, [0.75], U_radius=0.01, eps=0.1, budget=b,
+                        q=QuadratureSpec(M=16))
