@@ -2,9 +2,9 @@
 
 Config files are INI-style text (sections of ``key = value``).  Unknown
 sections or keys are hard errors, every [budget] needs an explicit seed, and
-the JSON/CSV emitters format floats with 17 significant digits, so a config
-pins its output byte-for-byte (thread count included: parallel grid passes
-are keyed per point, not per worker).
+the JSON/CSV emitters write each float as the shortest text that reads back
+to the same double, so a config pins its output byte-for-byte (thread count
+included: parallel grid passes are keyed per point, not per worker).
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure.
 """
@@ -326,50 +326,22 @@ def _parse_compact_set(sec) -> CompactSet:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic emitters: 17-significant-digit floats, sorted keys.
+# Deterministic emitters: numbers as json writes them, sorted keys.
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return "%.17g" % x
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad} {json.dumps(str(k))}: {_json_text(obj[k], indent + 1)}'
-            for k in sorted(obj, key=str)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad} {_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """x as json writes it: the shortest text that reads back to the same
+    double (-0.0 kept), or NaN, Infinity, -Infinity."""
+    text = repr(float(x))
+    return _NONFINITE.get(text, text)
 
 
 def _write_json(path: str, obj) -> None:
+    """obj, which holds Python scalars only, as sorted, indented json."""
     with open(path, "w") as fh:
-        fh.write(_json_text(obj))
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -599,14 +571,7 @@ def _run_counterexample(cp, args, manifest) -> int:
         os.path.join(args.out, "usc_report.json"),
         {
             "violations": [
-                {
-                    "disc_index": v["disc_index"],
-                    "center": complex_to_json(v["center"]),
-                    "center_value": v["center_value"],
-                    "boundary_average": v["boundary_average"],
-                    "excess": v["excess"],
-                }
-                for v in violations
+                {**v, "center": complex_to_json(v["center"])} for v in violations
             ]
         },
     )

@@ -323,10 +323,12 @@ def exceptional_nodes(K: CompactSet, nodes, U_radius: float):
     (M, N).  Returns (mask, measure): which nodes lie at distance >=
     U_radius from K, and the exceptional measure 2*pi * (their number) / M
     that a certificate records.  Raises ValueError unless U_radius is
-    finite and > 0.
+    finite and > 0 and there is at least one node.
     """
     U = _check_U(U_radius)
     nodes = np.asarray(nodes, dtype=complex)
+    if len(nodes) == 0:
+        raise ValueError("exceptional_nodes needs at least one boundary node")
     bad = ~K.within(nodes, U)
     # At a non-finite node the distance can be NaN, which is neither < U
     # nor >= U; such a node keeps the answer of distance >= U.
@@ -375,8 +377,9 @@ def hull_membership(
     the window; a value below -1 + eps/(2*pi) means at most an eps-measure
     of the boundary leaves U, which is the certificate condition.
     """
-    if U_radius <= 0 or eps <= 0:
-        raise ValueError("U_radius and eps must be positive")
+    _check_U(U_radius)
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     if x.size != K.ambient_dim:
         raise ValueError("point dimension does not match the compact set")

@@ -103,7 +103,8 @@ def _connected(mask: np.ndarray) -> bool:
 
 def grid_domain(n: int, rect=(-1.0, 1.0, -1.0, 1.0), mask: str = "rect",
                 inner: float = 0.0) -> GridDomain:
-    """Build a square grid over rect with a rect/disc/annulus active mask."""
+    """Build a square grid over rect with a rect/disc/annulus active mask;
+    inner is the annulus's inner radius and stays 0 for the other masks."""
     xlo, xhi, ylo, yhi = map(float, rect)
     hx = (xhi - xlo) / (n - 1)
     hy = (yhi - ylo) / (n - 1)
@@ -124,6 +125,8 @@ def grid_domain(n: int, rect=(-1.0, 1.0, -1.0, 1.0), mask: str = "rect",
             m &= d >= inner * (1 - 1e-12)
     else:
         raise ValueError(f"unknown mask kind {mask!r}")
+    if inner != 0 and mask != "annulus":
+        raise ValueError(f"inner = {inner!r} needs mask = 'annulus', got {mask!r}")
     return GridDomain(x, y, hx, m)
 
 

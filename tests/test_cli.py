@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pshenv import cli
+from pshenv.disc import disc_from_json
 from pshenv.envelope import SearchBudget, envelope_grid
 from pshenv.functional import QuadratureSpec, parse_field
 from pshenv.hull import load_certificate
@@ -84,16 +87,49 @@ def test_envelope_command_end_to_end(tmp_path):
 
 
 def test_results_json_round_trips_exact_values(tmp_path):
-    cfg = write(tmp_path / "run.cfg", ENVELOPE_CFG)
-    out = tmp_path / "out"
-    assert cli.main(["envelope", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 0
-    loaded = json.loads((out / "results.json").read_text())
+    # Every value and witness reloads with the bits the search computed;
+    # the counterexample's witnesses hold -0.0 parts, which must stay -0.0.
     b = SearchBudget(degree_schedule=(2,), restarts=2, descent_iters=5, seed=4)
-    est = envelope_grid(parse_field("abs2(z1)"), euclidean_space(1),
-                        [[0.1], [0.3], [-0.2 + 0.1j]], b, QuadratureSpec(M=64))
-    for entry, val in zip(loaded["points"], est.values):
-        assert entry["value"] == val  # 17 significant digits survive json
+    runs = [
+        ("envelope", ENVELOPE_CFG,
+         (euclidean_space(1), parse_field("abs2(z1)"),
+          [[0.1], [0.3], [-0.2 + 0.1j]], b, QuadratureSpec(M=64))),
+        ("counterexample", "[run]\nmode = counterexample\n",
+         cli.counterexample_scenario()[:5]),
+    ]
+    for mode, text, (space, u, grid, budget, q) in runs:
+        cfg = write(tmp_path / f"{mode}.cfg", text)
+        out = tmp_path / mode
+        assert cli.main([mode, "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+        loaded = json.loads((out / "results.json").read_text())["points"]
+        est = envelope_grid(u, space, grid, budget, q)
+        assert len(loaded) == len(est)
+        for entry, val, w in zip(loaded, est.values, est.witnesses):
+            assert (np.float64(entry["value"]).tobytes()
+                    == np.float64(val).tobytes())
+            got = disc_from_json(entry["witness"], space)
+            assert got.branch == w.branch
+            assert got.coeffs.shape == w.coeffs.shape
+            assert got.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False) | st.just(float("nan")), min_size=1))
+@example([-0.0, 5e-324, -2.2250738585072009e-308, float("inf"),
+          float("-inf"), float("nan"), 0.1, 1.0])
+def test_json_and_csv_numbers_keep_their_bits(tmp_path_factory, xs):
+    # json has no NaN payloads, so NaN is the one float("nan") gives.
+    path = tmp_path_factory.getbasetemp() / "roundtrip.json"
+    cli._write_json(str(path), {"xs": xs, "nested": [{"x": x} for x in xs]})
+    with open(path) as fh:
+        back = json.load(fh)
+    want = np.array(xs, dtype=np.float64).tobytes()
+    assert np.array(back["xs"], dtype=np.float64).tobytes() == want
+    assert np.array([d["x"] for d in back["nested"]],
+                    dtype=np.float64).tobytes() == want
+    assert np.array([float(cli._fmt(x)) for x in xs],
+                    dtype=np.float64).tobytes() == want
 
 
 def test_reruns_are_byte_identical_and_diff_clean(tmp_path, capsys):
@@ -431,6 +467,9 @@ def test_malformed_value_is_named(tmp_path, capsys, monkeypatch, section, key):
     ("hull", {"window_radius": "3 3"}, "radius"),
     ("hull", {"balls": "1+0j 0.3+5j ; -1+0j 0.3"}, "balls"),
     ("oracle", {"rect": "-1 1 -1"}, "rect"),
+    ("oracle", {"inner": "0.3"}, "inner"),
+    ("hull", {"eps": "nan"}, "eps"),
+    ("hull", {"eps": "inf"}, "eps"),
 ])
 def test_inconsistent_values_are_named(tmp_path, capsys, section, values,
                                        key):

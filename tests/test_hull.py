@@ -153,6 +153,9 @@ def test_within_is_distance_below_radius(case):
         if len(pts) and 0 < U < np.inf:
             assert np.array_equal(exceptional_nodes(K, pts, U)[0],
                                   K.distance(pts) >= U)
+        elif 0 < U < np.inf:
+            with pytest.raises(ValueError, match="node"):
+                exceptional_nodes(K, pts, U)
         if ball is not None:
             # Alone, the ball cannot decide points this close to its shell
             # from the product: every one of them takes the exact distance.
@@ -210,8 +213,9 @@ def test_hull_membership_validation():
     K = CompactSet(balls=(([0j], 1.0),))
     with pytest.raises(ValueError):
         hull_membership(K, [0.0], U_radius=0.0, eps=0.5)
-    with pytest.raises(ValueError):
-        hull_membership(K, [0.0], U_radius=0.5, eps=-1.0)
+    for eps in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            hull_membership(K, [0.0], U_radius=0.5, eps=eps)
     with pytest.raises(ValueError):
         hull_membership(K, [0.0, 0.0], U_radius=0.5, eps=0.5)
     tight = DomainConstraint(np.array([0j]), np.array([0.1]))

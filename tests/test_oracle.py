@@ -30,6 +30,9 @@ def test_grid_domain_validation():
         grid_domain(33, mask="hexagon")
     with pytest.raises(ValueError):
         grid_domain(33, mask="annulus", inner=0.0)
+    for mask in ("rect", "disc"):
+        with pytest.raises(ValueError, match="inner"):
+            grid_domain(33, mask=mask, inner=0.3)
     dom = grid_domain(33, mask="disc")
     assert dom.mask.sum() < 33 * 33
     assert dom.interior().sum() < dom.mask.sum()
