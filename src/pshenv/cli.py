@@ -16,6 +16,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -584,6 +585,17 @@ def _run_counterexample(cp, args, manifest) -> int:
     return 0
 
 
+def _same_number(a, b, tol: float) -> bool:
+    """Whether two numeric leaves agree: both NaN, or within a positive tol,
+    or at tol 0 equal with the same sign, so 0.0 and -0.0 differ."""
+    fa, fb = float(a), float(b)
+    if math.isnan(fa) or math.isnan(fb):
+        return math.isnan(fa) and math.isnan(fb)
+    if tol > 0:
+        return a == b or abs(fa - fb) <= tol
+    return a == b and math.copysign(1.0, fa) == math.copysign(1.0, fb)
+
+
 def _leaf_diffs(a, b, path, tol, out):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b), key=str):
@@ -600,7 +612,7 @@ def _leaf_diffs(a, b, path, tol, out):
             _leaf_diffs(x, y, f"{path}[{i}]", tol, out)
         return
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if not (a == b or abs(float(a) - float(b)) <= tol):
+        if not _same_number(a, b, tol):
             out.append(f"{path}: {a!r} vs {b!r}")
         return
     if a != b:

@@ -44,7 +44,7 @@ from .functional import (
     boundary_means,
     pushforward_field,
 )
-from .space import SpaceModel, is_regular, lift_point
+from .space import SpaceModel, _as_point, is_regular, lift_point
 
 # A candidate replaces the incumbent only when it wins by this much; keeps
 # the accept/reject decisions stable under last-ulp evaluation noise.
@@ -706,9 +706,11 @@ def envelope_at(
     ``poisson_functional(u, witness, q)``.  On curves every lift of x is
     searched and the best one wins; diagnostics record which.  Raises
     PointOutsideWindow / PointNotOnSpace for points the space does not hold,
-    and ValueError when the top degree of the schedule is not below q.M: on
-    the M nodes z^M = 1, so a disc such as x - x z^M would look constant
-    there and its node mean would say nothing about its Poisson integral.
+    ValueError for a point of the wrong shape or with a non-finite
+    coordinate (before the window test), and ValueError when the top degree
+    of the schedule is not below q.M: on the M nodes z^M = 1, so a disc such
+    as x - x z^M would look constant there and its node mean would say
+    nothing about its Poisson integral.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
@@ -717,9 +719,7 @@ def envelope_at(
             f"top disc degree {b.degree_schedule[-1]} must be below the "
             f"quadrature's M = {qq.M}"
         )
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    if x.shape != (space.ambient_dim,):
-        raise ValueError(f"point must have shape ({space.ambient_dim},)")
+    x = _as_point(space, x)
     if space.domain_constraint is not None:
         if not bool(space.domain_constraint.satisfied(x, slack=_FEAS_SLACK)):
             raise PointOutsideWindow(f"point {x} lies outside the window")
@@ -742,20 +742,6 @@ def envelope_at(
     return best
 
 
-def _warm_candidate(witness: AnalyticDisc, space: SpaceModel, x):
-    """Previous witness recentered at x, or None when it cannot carry over."""
-    if witness.branch is None:
-        coeffs = witness.coeffs.copy()
-        coeffs[0] = x
-        return None, coeffs
-    for label, t in lift_point(space, x):
-        if label == witness.branch.label:
-            coeffs = witness.coeffs.copy()
-            coeffs[0, 0] = t
-            return witness.branch, coeffs
-    return None
-
-
 def envelope_grid(
     u: ScalarField,
     space: SpaceModel,
@@ -764,13 +750,13 @@ def envelope_grid(
     q: QuadratureSpec | None = None,
     threads: int = 1,
 ) -> EnvelopeEstimate:
-    """Envelope over a list of points.
+    """Envelope over a list of points: ``envelope_at`` at each one.
 
-    Pass one runs the per-point searches independently (on at most
-    min(threads, points) worker threads; the random streams are keyed by
-    point index, so the thread count never changes results).  Pass two
-    sweeps the grid once in order, recentering each point's predecessor
-    witness and descending without any randomness; improvements are kept.
+    Point i's value, witness and diagnostics are those of ``envelope_at``
+    with point_index=i, bit for bit: they depend on that point and its
+    index only, never on the other points or their order.  The searches run
+    on at most min(threads, points) worker threads; the random streams are
+    keyed by point index, so the thread count never changes results.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
@@ -780,33 +766,13 @@ def envelope_grid(
         return envelope_at(u, space, pts[i], b, qq, point_index=i)
 
     n = len(pts)
-    results = [None] * n
     if threads > 1 and n > 1:
         with ThreadPoolExecutor(max_workers=min(threads, n)) as ex:
-            for i, res in enumerate(ex.map(one, range(n))):
-                results[i] = res
+            results = list(ex.map(one, range(n)))
     else:
-        for i in range(n):
-            results[i] = one(i)
-    values = [r[0] for r in results]
-    wits = [r[1] for r in results]
-    diags = [r[2] for r in results]
-
-    top_degree = b.degree_schedule[-1]
-    for i in range(1, n):
-        cand = _warm_candidate(wits[i - 1], space, pts[i])
-        if cand is None:
-            continue
-        branch, coeffs = cand
-        frame = _Frame(u, space, branch)
-        coeffs = _resize(coeffs, top_degree, frame.dim)
-        cc, cv, ct = _descend(frame, qq, coeffs, top_degree, b.descent_iters)
-        if cv < values[i] - ct:
-            values[i] = cv
-            wits[i] = AnalyticDisc(cc, branch)
-            diags[i]["warm_start"] = True
-            diags[i]["rounds"] = list(diags[i]["rounds"]) + [cv]
-    return EnvelopeEstimate(pts, values, wits, diags)
+        results = [one(i) for i in range(n)]
+    return EnvelopeEstimate(pts, [r[0] for r in results],
+                            [r[1] for r in results], [r[2] for r in results])
 
 
 # ---------------------------------------------------------------------------

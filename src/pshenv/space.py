@@ -94,8 +94,12 @@ class DomainConstraint:
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if c.shape != r.shape:
             raise ValueError("center and radii must have matching length")
-        if np.any(r <= 0):
-            raise ValueError("constraint radii must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"window center must be finite, got {c}")
+        # An infinite radius is no window at all, yet would pick the dip
+        # seeds of one; a search without a window leaves the radius out.
+        if not np.all(np.isfinite(r) & (r > 0)):
+            raise ValueError(f"window radius must be finite and > 0, got {r}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radii", r)
 
@@ -172,7 +176,7 @@ def _as_point(space: SpaceModel, p) -> np.ndarray:
     if p.shape != (space.ambient_dim,):
         raise ValueError(f"point must have shape ({space.ambient_dim},)")
     if not np.all(np.isfinite(p.view(float))):
-        raise ValueError("point coordinates must be finite")
+        raise ValueError(f"point {p} has a non-finite coordinate")
     return p
 
 

@@ -161,6 +161,21 @@ def test_diff_reports_changed_leaf(tmp_path, capsys):
     # a loose tolerance swallows the change
     assert cli.main(["diff", str(out / "results.json"), str(other),
                      "--quiet", "--tol", "1.0"]) == 0
+    # a NaN leaf equals a NaN leaf, so a file holding one matches itself
+    obj["points"][1]["value"] = float("nan")
+    other.write_text(json.dumps(obj))
+    assert cli.main(["diff", str(other), str(other), "--quiet"]) == 0
+    # at --tol 0 the sign of a zero counts; a positive tolerance ignores it
+    obj["points"][1]["value"] = 0.0
+    other.write_text(json.dumps(obj))
+    obj["points"][1]["value"] = -0.0
+    negated = tmp_path / "negated.json"
+    negated.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["diff", str(other), str(negated), "--quiet"]) == 3
+    assert "points[1].value: 0.0 vs -0.0" in capsys.readouterr().err
+    assert cli.main(["diff", str(other), str(negated), "--quiet",
+                     "--tol", "1e-300"]) == 0
 
 
 def test_diff_rejects_non_results_file(tmp_path, capsys):
@@ -470,15 +485,31 @@ def test_malformed_value_is_named(tmp_path, capsys, monkeypatch, section, key):
     ("oracle", {"inner": "0.3"}, "inner"),
     ("hull", {"eps": "nan"}, "eps"),
     ("hull", {"eps": "inf"}, "eps"),
+    ("space", {"radius": "nan"}, "radius"),
+    ("space", {"radius": "inf"}, "radius"),
+    ("space", {"radius": "1", "center": "nan"}, "center"),
+    ("hull", {"window_radius": "nan"}, "radius"),
+    ("hull", {"window_radius": "inf"}, "radius"),
+    ("hull", {"window_radius": "3", "window_center": "nan"}, "center"),
 ])
 def test_inconsistent_values_are_named(tmp_path, capsys, section, values,
                                        key):
     # Values that were dropped or misread without a word: a center without
     # a radius, a radius count other than 1 or the dimension, a complex ball
-    # radius, a short rect.
+    # radius, a short rect, a non-finite window center or radius.
     assert _run_edited(tmp_path, _base_config(section, tmp_path), section,
                        **values) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["", "radius = 1\n"])
+def test_non_finite_grid_point_is_named(tmp_path, capsys, window):
+    # Refused before any search or window test, with or without a window.
+    text = ENVELOPE_CFG.replace("dim = 1\n", "dim = 1\n" + window)
+    assert _run_edited(tmp_path, text, "grid",
+                       points="0.1+0j ; nan+0j") == 2
+    err = capsys.readouterr().err
+    assert "point [nan+0.j]" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("text", [ENVELOPE_CFG, HULL_CFG])

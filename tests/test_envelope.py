@@ -152,6 +152,15 @@ def test_wrong_point_shape_raises():
         envelope_at(parse_field("0"), euclidean_space(2), [1.0], SMALL, Q64)
 
 
+@pytest.mark.parametrize("space", [euclidean_space(1),
+                                   euclidean_space(1, radii=1.0)])
+@pytest.mark.parametrize("x", [complex("nan"), complex(0.5, np.inf)])
+def test_non_finite_point_raises(space, x):
+    # Refused by name before the window test, with or without a window.
+    with pytest.raises(ValueError, match="non-finite"):
+        envelope_at(parse_field("abs2(z1)"), space, [x], SMALL, Q64)
+
+
 def test_point_off_curve_raises():
     with pytest.raises(PointNotOnSpace):
         envelope_at(parse_field("0"), two_axes_space(), [1.0, 1.0], SMALL, Q64)
@@ -168,23 +177,44 @@ def test_curve_diagnostics_track_branches():
     assert wit2.center()[0] == 0.7 + 0j
 
 
-def test_grid_of_one_matches_point_call():
+def _radial_indicator_case():
+    # The windowed C^1 radial grid of test_acceptance's DETERMINISM_CFG.
     u = parse_field("-indicator(ball(0, 0; 0.25))")
     space = euclidean_space(1, radii=1.0)
-    est = envelope_grid(u, space, [[0.4]], SMALL, Q64)
-    v, wit, _ = envelope_at(u, space, [0.4], SMALL, Q64)
-    assert est.values[0] == v
-    assert np.array_equal(est.witnesses[0].coeffs, wit.coeffs)
+    pts = [[complex(r)] for r in np.linspace(0.1, 0.9, 5)]
+    budget = SearchBudget(degree_schedule=(2, 4), restarts=3, descent_iters=8,
+                          seed=12)
+    return space, u, pts, budget, QuadratureSpec(M=128)
 
 
-def test_warm_sweep_never_hurts():
-    u = parse_field("-indicator(ball(0, 0; 0.25))")
-    space = euclidean_space(1, radii=1.0)
-    xs = [[x] for x in np.linspace(0.3, 0.7, 5)]
-    est = envelope_grid(u, space, xs, SMALL, Q64)
-    for i, x in enumerate(xs):
-        v, _, _ = envelope_at(u, space, x, SMALL, Q64, point_index=i)
-        assert est.values[i] <= v + 1e-12
+def _psh_c2_case():
+    u = parse_field("log(0.001 + abs2(z1) + abs2(z2))")
+    pts = [[0.1, 0.0], [0.2 + 0.1j, -0.1], [0.0, 0.3j], [-0.2, 0.2]]
+    budget = SearchBudget(degree_schedule=(2, 4), restarts=2, descent_iters=4,
+                          seed=3)
+    return euclidean_space(2), u, pts, budget, Q64
+
+
+def _counterexample_case():
+    space, u, pts, budget, q, _ = cli.counterexample_scenario()
+    return space, u, pts, budget, q
+
+
+@pytest.mark.parametrize("case", [_radial_indicator_case, _psh_c2_case,
+                                  _counterexample_case])
+def test_grid_values_are_the_point_searches(case):
+    # A grid's value, witness and diagnostics at point i are envelope_at's
+    # with point_index=i, bit for bit, whatever the neighbouring points.
+    space, u, pts, budget, q = case()
+    est = envelope_grid(u, space, pts, budget, q)
+    for i, x in enumerate(pts):
+        v, wit, diag = envelope_at(u, space, x, budget, q, point_index=i)
+        assert np.float64(est.values[i]).tobytes() == np.float64(v).tobytes()
+        got = est.witnesses[i]
+        assert got.coeffs.tobytes() == wit.coeffs.tobytes()
+        assert getattr(got.branch, "label", None) == \
+            getattr(wit.branch, "label", None)
+        assert est.diagnostics[i] == diag
 
 
 def test_rounds_start_at_field_value_and_decrease():

@@ -247,6 +247,14 @@ def test_polydisc_window():
         polydisc(2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="radius"):
         euclidean_space(3, radii=[1.0, 2.0])
+    # A non-finite radius or center is refused by name; an infinite radius
+    # is no window, which is asked for by leaving the radius out.
+    for bad in (np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="radius"):
+            polydisc(2, bad)
+    for bad in ([np.nan, 0], [0, complex(0, np.inf)]):
+        with pytest.raises(ValueError, match="center"):
+            polydisc(2, 1.0, bad)
 
 
 def test_branch_lookup():
