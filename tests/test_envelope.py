@@ -217,6 +217,27 @@ def test_grid_values_are_the_point_searches(case):
         assert est.diagnostics[i] == diag
 
 
+def test_grid_of_one_matches_point_call():
+    u = parse_field("-indicator(ball(0, 0; 0.25))")
+    space = euclidean_space(1, radii=1.0)
+    est = envelope_grid(u, space, [[0.4]], SMALL, Q64)
+    v, wit, _ = envelope_at(u, space, [0.4], SMALL, Q64)
+    assert est.values[0] == v
+    assert np.array_equal(est.witnesses[0].coeffs, wit.coeffs)
+
+
+def test_warm_sweep_never_hurts():
+    # The grid no longer warm-starts from its neighbours; its values are
+    # the point searches, so none of them may sit above envelope_at's.
+    u = parse_field("-indicator(ball(0, 0; 0.25))")
+    space = euclidean_space(1, radii=1.0)
+    xs = [[x] for x in np.linspace(0.3, 0.7, 5)]
+    est = envelope_grid(u, space, xs, SMALL, Q64)
+    for i, x in enumerate(xs):
+        v, _, _ = envelope_at(u, space, x, SMALL, Q64, point_index=i)
+        assert est.values[i] <= v + 1e-12
+
+
 def test_rounds_start_at_field_value_and_decrease():
     u = parse_field("-indicator(ball(0, 0; 0.25))")
     space = euclidean_space(1, radii=1.0)
