@@ -232,11 +232,16 @@ def _parse_space(cp) -> SpaceModel:
     raise ConfigError(f"space kind must be euclidean or curve, got {kind!r}")
 
 
-def _parse_field(sec):
+def _parse_field(sec, dim: int):
+    """The field of [field] or [oracle], for points of dim coordinates."""
     try:
         u = parse_field(sec["expr"])
     except ValueError as exc:
         raise ConfigError(f"[{sec.name}] expr: bad field expression: {exc}") from exc
+    try:
+        u.check_dimension(dim)
+    except ValueError as exc:
+        raise ConfigError(f"[{sec.name}] expr: {exc}") from exc
     if "truncate" in sec:
         u = decreasing_approximation(u, sec["truncate"])
     return u
@@ -440,7 +445,7 @@ def counterexample_scenario():
 
 def _run_envelope(cp, args, manifest) -> int:
     space = _parse_space(cp)
-    u = _parse_field(_section(cp, "field"))
+    u = _parse_field(_section(cp, "field"), space.ambient_dim)
     grid = _parse_grid(cp, space)
     budget, q = _parse_search(cp)
     manifest["seed"] = budget.seed
@@ -509,7 +514,7 @@ def _read_compare(path: str) -> list:
 
 def _run_oracle(cp, args, manifest) -> int:
     sec = _section(cp, "oracle")
-    u = _parse_field(sec)
+    u = _parse_field(sec, 1)
     rect = sec["rect"]
     if len(rect) != 4:
         raise ConfigError("[oracle] rect needs four numbers: re_lo re_hi im_lo im_hi")

@@ -139,16 +139,25 @@ class _Frame:
     On euclidean spaces discs are searched directly in C^N.  On a curve the
     search runs in the branch parameter and the field is pushed forward, so
     the same descent code serves both; this is also what makes the euclidean
-    and curve paths bitwise comparable.
+    and curve paths bitwise comparable.  cols lists the coefficient columns
+    a descent moves: in C^N without a window only those the field reads,
+    since no other column can change a value; every column otherwise, as a
+    window repair rescales them all and a curve has one.  trials counts the
+    discs handed to ``_score_stack``.
     """
 
-    __slots__ = ("u_eff", "branch", "dim", "constraint")
+    __slots__ = ("u_eff", "branch", "dim", "constraint", "cols", "trials")
 
     def __init__(self, u: ScalarField, space: SpaceModel, branch=None):
         self.branch = branch
         self.dim = 1 if branch is not None else space.ambient_dim
         self.u_eff = u if branch is None else pushforward_field(u, branch)
         self.constraint = space.domain_constraint
+        if branch is None and self.constraint is None and u.reads is not None:
+            self.cols = sorted(u.reads)
+        else:
+            self.cols = list(range(self.dim))
+        self.trials = 0
 
     def fits(self, B):
         """Whether each boundary in B, shape (..., M, dim), is in the window."""
@@ -247,6 +256,7 @@ def _score_stack(frame, q, trials):
     -inf).
     """
     M, n = q.M, len(trials)
+    frame.trials += n
     arr = np.asarray(trials)
     # (dim, trial, node): each trial's (M, dim) boundary is column-contiguous,
     # as boundary_from_coeffs gives it to the field, so every sample is
@@ -499,8 +509,16 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     """First-improvement descent over rows 1..stage_degree.
 
     The start disc is repaired into the window if it leaves it.  Each sweep
-    tries the eight steps of ``_steps`` at every coefficient, one move per
-    (row, column) pair in row-major order.  The trials of the next k moves,
+    tries the eight steps of ``_steps`` at every coefficient of the columns
+    in ``frame.cols``, one move per (row, column) pair in row-major order.
+    In C^N without a window those are the columns the field reads: a trial
+    that moves another column has the incumbent's read columns bit for bit,
+    since a gemm row of the product branch depends on no other row, so its
+    value equals ``best`` and could never win.  From degree 24 up that can
+    fail: giving an unread column its first nonzero row >= 24 moves the
+    whole disc to the FFT branch, which may round the read columns
+    differently, and the skip drops such rounding-only wins.  The trials of
+    the next k moves,
     k = max(dim, _STACK_SAMPLES // (8 * M * dim)), form one stack that
     ``_first_improvement`` decides together, repairing those that leave the
     window by ``_project`` (row scaling, center row untouched); a stack may
@@ -515,8 +533,8 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     coeffs, best, btol = _score(frame, q, coeffs)
     if best == float("-inf") or iters <= 0:
         return coeffs, best, btol
-    dim = frame.dim
-    n_moves = min(stage_degree, coeffs.shape[0] - 1) * dim
+    dim, cols = frame.dim, frame.cols
+    n_moves = min(stage_degree, coeffs.shape[0] - 1) * len(cols)
     step = _STEP_INIT
     for _ in range(iters):
         improved = False
@@ -528,8 +546,8 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
             stop = min(m + span, n_moves)
             trials = np.repeat(coeffs[None], n_try * (stop - m), axis=0)
             for j, move in enumerate(range(m, stop)):
-                row, col = divmod(move, dim)
-                trials[j * n_try:(j + 1) * n_try, row + 1, col] += deltas
+                row, col = divmod(move, len(cols))
+                trials[j * n_try:(j + 1) * n_try, row + 1, cols[col]] += deltas
             win = _first_improvement(frame, q, trials, best, btol)
             if win is None:
                 m = stop
@@ -707,10 +725,12 @@ def envelope_at(
     searched and the best one wins; diagnostics record which.  Raises
     PointOutsideWindow / PointNotOnSpace for points the space does not hold,
     ValueError for a point of the wrong shape or with a non-finite
-    coordinate (before the window test), and ValueError when the top degree
-    of the schedule is not below q.M: on the M nodes z^M = 1, so a disc such
-    as x - x z^M would look constant there and its node mean would say
-    nothing about its Poisson integral.
+    coordinate (before the window test), ValueError for a field that reads a
+    coordinate beyond the space's ambient dimension, and ValueError when
+    the top degree of the schedule is not below q.M: on the M nodes
+    z^M = 1, so a disc such as x - x z^M would look constant there and its
+    node mean would say nothing about its Poisson integral.  diag["trials"]
+    counts the trial discs the search scored, summed over the lifts.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
@@ -719,6 +739,7 @@ def envelope_at(
             f"top disc degree {b.degree_schedule[-1]} must be below the "
             f"quadrature's M = {qq.M}"
         )
+    u.check_dimension(space.ambient_dim)
     x = _as_point(space, x)
     if space.domain_constraint is not None:
         if not bool(space.domain_constraint.satisfied(x, slack=_FEAS_SLACK)):
@@ -728,17 +749,20 @@ def envelope_at(
         frame = _Frame(u, space)
         v, c, diag = _search_core(frame, qq, b, x, key)
         diag["branch"] = None
+        diag["trials"] = frame.trials
         return v, AnalyticDisc(c), diag
     lifts = lift_point(space, x)
-    best = None
+    best, trials = None, 0
     for label, t in lifts:
         branch = space.branch(label)
         frame = _Frame(u, space, branch)
         v, c, diag = _search_core(frame, qq, b, np.array([t]), key)
+        trials += frame.trials
         if best is None or v < best[0]:
             diag["branch"] = label
             diag["lifts"] = [lb for lb, _ in lifts]
             best = (v, AnalyticDisc(c, branch), diag)
+    best[2]["trials"] = trials
     return best
 
 

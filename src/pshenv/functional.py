@@ -10,7 +10,9 @@ whether the result is always real or real when every argument is, and the
 function that computes it from the points and the argument nodes.  That
 function evaluates the arguments itself, so each operator fixes their
 order: division tests its denominator for zeros before it evaluates the
-numerator.
+numerator.  Every node says which coordinates it reads (``reads``), so the
+search moves no coefficient a field cannot see and a field that reads a
+coordinate the points lack is refused before it is evaluated.
 
 Values live in R union {-inf}: log 0 is -inf (nonpositive arguments fold
 into the same convention), -inf + finite is -inf, min/max propagate it,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +53,9 @@ TWO_PI = 2.0 * np.pi
 
 class FieldNode:
     is_real = True
+    # Zero-based indices of the coordinates the node reads, as a frozenset;
+    # None, for node kinds that do not say, means every coordinate.
+    reads = None
 
     def ev(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -59,6 +64,7 @@ class FieldNode:
 @dataclass(frozen=True)
 class Const(FieldNode):
     value: float
+    reads = frozenset()
 
     def ev(self, pts):
         return np.full(pts.shape[0], float(self.value))
@@ -68,6 +74,10 @@ class Const(FieldNode):
 class Coord(FieldNode):
     index: int  # zero-based
     is_real = False
+
+    @property
+    def reads(self):
+        return frozenset((self.index,))
 
     def ev(self, pts):
         if self.index >= pts.shape[1]:
@@ -176,6 +186,11 @@ class Op(FieldNode):
     def is_real(self):
         return _OPS[self.name].real or all(a.is_real for a in self.args)
 
+    @property
+    def reads(self):
+        sets = [a.reads for a in self.args]
+        return None if None in sets else frozenset().union(*sets)
+
     def ev(self, pts):
         return _OPS[self.name].fn(pts, *self.args)
 
@@ -186,6 +201,10 @@ class BallIndicator(FieldNode):
 
     center: tuple  # complex per coordinate
     radius: float
+
+    @property
+    def reads(self):
+        return frozenset(range(len(self.center)))
 
     def ev(self, pts):
         c = np.asarray(self.center, dtype=complex)
@@ -198,6 +217,10 @@ class BoxIndicator(FieldNode):
     """Open box: per coordinate (re_lo, re_hi, im_lo, im_hi), strict."""
 
     bounds: tuple  # of 4-tuples
+
+    @property
+    def reads(self):
+        return frozenset(range(len(self.bounds)))
 
     def ev(self, pts):
         inside = np.ones(pts.shape[0], dtype=bool)
@@ -249,6 +272,21 @@ class ScalarField:
     def __post_init__(self):
         if not self.expr.is_real:
             raise ValueError("field expression must be real-valued at the top level")
+
+    @cached_property
+    def reads(self):
+        """Zero-based indices of the coordinates the field reads, as a
+        frozenset, or None when it may read every coordinate (a distance
+        indicator or a pushforward, say)."""
+        return self.expr.reads
+
+    def check_dimension(self, dim: int) -> None:
+        """Raise ValueError when the field reads a coordinate beyond z_dim."""
+        if self.reads and max(self.reads) >= dim:
+            raise ValueError(
+                f"field reads z{max(self.reads) + 1}, but the points have "
+                f"{dim} coordinate(s)"
+            )
 
     def values(self, pts) -> np.ndarray:
         """Field values at points of shape (M, N); float array, -inf allowed."""

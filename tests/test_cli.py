@@ -424,6 +424,10 @@ n = 33
 mask = disc
 """
 
+# ENVELOPE_CFG in C^2, the base of the [field] cases.
+ENVELOPE_C2_CFG = ENVELOPE_CFG.replace("dim = 1", "dim = 2").replace(
+    "points = 0.1+0j ; 0.3+0j ; -0.2+0.1j", "points = 0.1+0j 0.2+0j")
+
 # A value no text reader rejects, but the run cannot use.
 _BAD_TEXT = {"mode": "x", "kind": "x", "expr": "frobnicate(z1)", "mask": "x",
              "compare": "nope.json", "certificate": "nope.json"}
@@ -434,6 +438,8 @@ def _base_config(section, tmp_path):
         return HULL_CFG
     if section == "oracle":
         return ORACLE_CFG
+    if section == "field":
+        return ENVELOPE_C2_CFG
     if section == "verify":
         return ("[run]\nmode = verify\n\n[verify]\n"
                 f"certificate = {tmp_path / 'none.json'}\nballs = 1+0j 0.3\n")
@@ -491,12 +497,21 @@ def test_malformed_value_is_named(tmp_path, capsys, monkeypatch, section, key):
     ("hull", {"window_radius": "nan"}, "radius"),
     ("hull", {"window_radius": "inf"}, "radius"),
     ("hull", {"window_radius": "3", "window_center": "nan"}, "center"),
+    ("field", {"expr": "-indicator(box(0, 1, 0, 1; 0, 1, 0, 1; 0, 1, 0, 1))"},
+     "[field] expr: field reads z3"),
+    ("field", {"expr": "re(z3)"}, "[field] expr: field reads z3"),
+    ("field", {"expr": "-indicator(ball(0, 0, 0, 0, 0, 0; 1))"},
+     "[field] expr: field reads z3"),
+    ("oracle", {"expr": "-indicator(box(0, 1, 0, 1; 0, 1, 0, 1))"},
+     "[oracle] expr: field reads z2"),
+    ("oracle", {"expr": "re(z2)"}, "[oracle] expr: field reads z2"),
 ])
 def test_inconsistent_values_are_named(tmp_path, capsys, section, values,
                                        key):
     # Values that were dropped or misread without a word: a center without
     # a radius, a radius count other than 1 or the dimension, a complex ball
-    # radius, a short rect, a non-finite window center or radius.
+    # radius, a short rect, a non-finite window center or radius, a field
+    # that reads a coordinate the points do not have.
     assert _run_edited(tmp_path, _base_config(section, tmp_path), section,
                        **values) == 2
     assert key in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from pshenv import cli, envelope
@@ -43,6 +45,7 @@ from pshenv.functional import (
     parse_field,
     poisson_functional,
 )
+from pshenv.oracle import field_on_grid, grid_domain
 from pshenv.space import BranchMap, curve_space, euclidean_space
 
 SMALL = SearchBudget(degree_schedule=(2,), restarts=2, descent_iters=5, seed=1)
@@ -150,6 +153,108 @@ def test_outside_window_raises():
 def test_wrong_point_shape_raises():
     with pytest.raises(ValueError):
         envelope_at(parse_field("0"), euclidean_space(2), [1.0], SMALL, Q64)
+
+
+@pytest.mark.parametrize("text, space, coord", [
+    ("re(z3)", euclidean_space(2), "z3, but the points have 2"),
+    ("-indicator(box(0, 1, 0, 1; 0, 1, 0, 1; 0, 1, 0, 1))",
+     euclidean_space(2), "z3, but the points have 2"),
+    ("-indicator(ball(0, 0, 0, 0, 0, 0; 1))", euclidean_space(2, radii=1.0),
+     "z3, but the points have 2"),
+    ("re(z2)", euclidean_space(1), "z2, but the points have 1"),
+    ("abs2(z3 - 1)", two_axes_space(), "z3, but the points have 2"),
+])
+def test_field_reading_a_missing_coordinate_raises(monkeypatch, text, space,
+                                                   coord):
+    # Refused by name before any evaluation, where it used to raise
+    # IndexError, DomainError or numpy's broadcast error mid-search.
+    def no_evaluation(*args):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(envelope, "_score_stack", no_evaluation)
+    u = parse_field(text)
+    with pytest.raises(ValueError, match=f"field reads {coord}"):
+        envelope_at(u, space, np.zeros(space.ambient_dim), SMALL, Q64)
+
+
+@pytest.mark.parametrize("text", ["re(z2)",
+                                  "-indicator(box(0, 1, 0, 1; 0, 1, 0, 1))"])
+def test_oracle_field_reading_z2_raises(text):
+    with pytest.raises(ValueError, match="field reads z2, but the points have 1"):
+        field_on_grid(parse_field(text), grid_domain(33))
+
+
+# Real fields of z1 alone, from re, im, abs2, log(c + ...), max, + and
+# constants; each log's argument is at least c > 0, so every value is
+# finite.
+_Z1_FIELDS = st.recursive(
+    st.sampled_from(["re(z1)", "im(z1)", "abs2(z1)", "abs2(z1 - 0.5)"])
+    | st.integers(-8, 8).map(lambda k: repr(k / 4)),
+    lambda e: (st.tuples(e, e).map(lambda t: f"({t[0]} + {t[1]})")
+               | st.tuples(e, e).map(lambda t: f"max({t[0]}, {t[1]})")
+               | st.tuples(st.sampled_from(["0.001", "0.5", "2"]), e).map(
+                   lambda t: f"log({t[0]} + abs2({t[1]}))")),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(g=_Z1_FIELDS,
+       x=st.tuples(*[st.floats(-1, 1)] * 4),
+       degree=st.integers(1, 23),
+       m=st.sampled_from([32, 64, 512]),
+       seed=st.integers(0, 3))
+def test_unread_columns_never_move_a_search(g, x, degree, m, seed):
+    # In C^2 without a window and below degree 24, a field of z1 alone is
+    # searched along z1 only: it ends on the value and witness of the same
+    # field made to read z2 by a zero term, which keeps every move, and
+    # scores fewer trials.
+    assume(degree < m)
+    b = SearchBudget(degree_schedule=(degree,), restarts=1, descent_iters=3,
+                     seed=seed)
+    q = QuadratureSpec(M=m)
+    space = euclidean_space(2)
+    point = [complex(x[0], x[1]), complex(x[2], x[3])]
+    v, w, d = envelope_at(parse_field(g), space, point, b, q)
+    v2, w2, d2 = envelope_at(parse_field(f"{g} + 0 * re(z2)"), space, point,
+                             b, q)
+    assert v == v2 and np.array_equal(w.coeffs, w2.coeffs)
+    assert d["stages"] == d2["stages"]
+    assert d["trials"] < d2["trials"]
+
+
+@pytest.mark.parametrize("g", ["re(z1)", "log(0.001 + abs2(z1))"])
+def test_window_keeps_every_column(g):
+    # A window repair rescales every column, so the descent moves z2 too:
+    # the two fields score the same trials.
+    b = SearchBudget(degree_schedule=(4,), restarts=1, descent_iters=3,
+                     seed=2)
+    space = euclidean_space(2, radii=1.0)
+    v, w, d = envelope_at(parse_field(g), space, [0.3, 0.2j], b, Q64)
+    v2, w2, d2 = envelope_at(parse_field(f"{g} + 0 * re(z2)"), space,
+                             [0.3, 0.2j], b, Q64)
+    assert v == v2 and np.array_equal(w.coeffs, w2.coeffs)
+    assert d["trials"] == d2["trials"]
+
+
+def test_trials_count_every_scored_disc_of_every_lift(monkeypatch):
+    # At the crossing of the two axes both lifts are searched, and the
+    # count covers the discs of both, not only the winner's.
+    scored = []
+    real = envelope._score_stack
+
+    def counting(frame, q, trials):
+        scored.append(len(trials))
+        return real(frame, q, trials)
+
+    monkeypatch.setattr(envelope, "_score_stack", counting)
+    _, _, diag = envelope_at(parse_field("abs2(z1 - 1)"), two_axes_space(),
+                             [0.0, 0.0], SMALL, Q64)
+    assert len(diag["lifts"]) == 2
+    assert diag["trials"] == sum(scored) > 0
+    _, _, one = envelope_at(parse_field("abs2(z1 - 1)"), two_axes_space(),
+                            [0.7, 0.0], SMALL, Q64)
+    assert 0 < one["trials"] < diag["trials"]
 
 
 @pytest.mark.parametrize("space", [euclidean_space(1),
@@ -646,13 +751,16 @@ def _serial_descent(frame, q, state, cols, n_rows, iters):
      euclidean_space(2, [0j, 0j], [0.6, 0.6]), [0.3, -0.2j]),
     ("-indicator(ball(0, 0; 1))", euclidean_space(1), [2.0]),
     ("-indicator(ball(0, 0; 1))", euclidean_space(1, [0j], [4.0]), [2.0]),
+    ("log(0.001 + abs2(z1))", euclidean_space(2), [0.3, -0.2j]),
 ])
 def test_descents_match_serial_reference(text, space, center):
     # The descent, with its stacked repair and scoring, ends where the
     # serial sweeps end, bit for bit: on windowed searches whose trials
-    # often leave the window, and on the unbounded indicator, descended at
-    # degree 16.  At M = 64 a stack holds 16 moves, so every C^1 sweep is
-    # one stack and the C^2 sweep two.
+    # often leave the window, on the unbounded indicator, descended at
+    # degree 16, and on a z1-only field in C^2 without a window, whose
+    # descent moves z1 alone while the serial sweeps move both columns.
+    # At M = 64 a stack holds 16 moves, so every C^1 sweep is one stack
+    # and the windowed C^2 sweep two.
     frame = _Frame(parse_field(text), space)
     center = np.asarray(center, dtype=complex)
     degree = 8 if space.domain_constraint is not None else 16

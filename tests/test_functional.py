@@ -4,7 +4,15 @@ import pytest
 from pshenv.disc import AnalyticDisc, constant_disc
 from pshenv.errors import DomainError
 from pshenv.functional import (
+    BallIndicator,
+    BoxIndicator,
+    BranchCompose,
+    Const,
+    Coord,
+    DistanceIndicator,
+    Op,
     QuadratureSpec,
+    ScalarField,
     arc_functional,
     boundary_means,
     decreasing_approximation,
@@ -186,3 +194,38 @@ def test_nan_guard_raises_domain_error():
 def test_division_field():
     u = parse_field("re(z1) / (1 + abs2(z1))")
     assert eval_field(u, [1 + 0j]) == 0.5
+
+
+@pytest.mark.parametrize("node, reads", [
+    (Const(1.5), frozenset()),
+    (Coord(2), frozenset({2})),
+    (BallIndicator((0j, 1j, 0j), 0.5), frozenset({0, 1, 2})),
+    (BoxIndicator(((0, 1, 0, 1), (0, 1, 0, 1))), frozenset({0, 1})),
+    (parse_field("re(z1) + max(abs2(z3), 1)").expr, frozenset({0, 2})),
+    (parse_field("-log(2 + 0 * exp(1))").expr, frozenset()),
+    (DistanceIndicator(lambda pts, r: pts[:, 0] == 0, 0.1), None),
+    (Op("+", (parse_field("re(z1)").expr,
+              DistanceIndicator(lambda pts, r: pts[:, 0] == 0, 0.1))), None),
+    (BranchCompose(BranchMap("b", ([0.0, 1.0], [0.0])),
+                   parse_field("re(z1)").expr), None),
+    (decreasing_approximation(parse_field("re(z2)"), 3.0).expr,
+     frozenset({1})),
+])
+def test_read_sets_of_each_node_kind(node, reads):
+    # None means every coordinate: the node kinds that do not say, which
+    # no dimension refuses.
+    assert node.reads == reads
+    if node.is_real:
+        assert ScalarField(node).reads == reads
+    if reads is None:
+        ScalarField(node).check_dimension(1)
+
+
+@pytest.mark.parametrize("text, dim", [("re(z2)", 1), ("abs2(z1) + re(z3)", 2),
+                                       ("-indicator(ball(0, 0, 0, 0; 1))", 1)])
+def test_check_dimension_names_the_coordinate(text, dim):
+    u = parse_field(text)
+    with pytest.raises(ValueError, match=f"reads z{max(u.reads) + 1}, but "
+                                         f"the points have {dim}"):
+        u.check_dimension(dim)
+    u.check_dimension(max(u.reads) + 1)
