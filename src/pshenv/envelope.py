@@ -142,11 +142,13 @@ class _Frame:
     and curve paths bitwise comparable.  cols lists the coefficient columns
     a descent moves: in C^N without a window only those the field reads,
     since no other column can change a value; every column otherwise, as a
-    window repair rescales them all and a curve has one.  trials counts the
-    discs handed to ``_score_stack``.
+    window repair rescales them all and a curve has one.  floor is the
+    field's lower bound ``ScalarField.floor``: a disc whose value is at or
+    below it is optimal.  trials counts the discs handed to ``_score_stack``.
     """
 
-    __slots__ = ("u_eff", "branch", "dim", "constraint", "cols", "trials")
+    __slots__ = ("u_eff", "branch", "dim", "constraint", "cols", "floor",
+                 "trials")
 
     def __init__(self, u: ScalarField, space: SpaceModel, branch=None):
         self.branch = branch
@@ -157,6 +159,7 @@ class _Frame:
             self.cols = sorted(u.reads)
         else:
             self.cols = list(range(self.dim))
+        self.floor = u.floor
         self.trials = 0
 
     def fits(self, B):
@@ -527,11 +530,16 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     move after it with trials made again from the new disc; a stack with no
     win moves the sweep on by k.  A move that does not win leaves the disc
     as it was, so these are the decisions of trying every move in turn.  The
-    step shrinks after a sweep with no accepted move.  Returns (coeffs,
-    value, accept threshold of the winning evaluation).
+    step shrinks after a sweep with no accepted move.  The descent stops as
+    soon as the disc's value is at or below ``frame.floor``, the field's
+    lower bound (at once for -inf): a trial wins only by beating the value
+    by its threshold, at least 256 ulps of its mean |sample|, and the mean
+    of samples that are all >= floor rounds below floor by far less, so no
+    later trial could win.  Returns (coeffs, value, accept threshold of the
+    winning evaluation).
     """
     coeffs, best, btol = _score(frame, q, coeffs)
-    if best == float("-inf") or iters <= 0:
+    if best <= frame.floor or iters <= 0:
         return coeffs, best, btol
     dim, cols = frame.dim, frame.cols
     n_moves = min(stage_degree, coeffs.shape[0] - 1) * len(cols)
@@ -553,6 +561,8 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
                 m = stop
                 continue
             i, coeffs, best, btol = win
+            if best <= frame.floor:
+                return coeffs, best, btol
             improved = True
             m += i // n_try + 1
         if not improved:
@@ -667,6 +677,15 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
 
 
 def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
+    """Staged search from the constant disc at center: (value, coeffs, diag).
+
+    Each stage descends its candidates in turn, then the structured seed of
+    ``_best_seed``, and runs the glue rounds.  Once the incumbent's value is
+    at or below ``frame.floor`` a stage descends no further candidate and
+    scans no seed, since none could beat it (see ``_descend``); the glue
+    rounds still run, so ``diag["rounds"]`` and ``diag["rh"]`` keep their
+    entries.
+    """
     center = np.asarray(center, dtype=complex).reshape(frame.dim)
     best_c, best_v, _ = _score(frame, q, center[None, :].copy())
     rounds = [best_v]
@@ -686,10 +705,13 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
             cands.append(("restart", _random_coeffs(rng, center, d)))
         source = "carried"
         for name, cand in cands:
+            if best_v <= frame.floor:
+                break
             cc, cv, ct = _descend(frame, q, cand, d, b.descent_iters)
             if cv < best_v - ct:
                 best_c, best_v, source = cc, cv, name
-        seed = _best_seed(frame, q, center, d, best_v)
+        seed = (_best_seed(frame, q, center, d, best_v)
+                if best_v > frame.floor else None)
         if seed is not None:
             cc, cv, ct = _descend(frame, q, seed[0], d, b.descent_iters)
             if cv < best_v - ct:
@@ -731,6 +753,9 @@ def envelope_at(
     z^M = 1, so a disc such as x - x z^M would look constant there and its
     node mean would say nothing about its Poisson integral.  diag["trials"]
     counts the trial discs the search scored, summed over the lifts.
+    diag["floor"] is ``u.floor``: no disc's node mean is below it beyond
+    rounding, so value - floor bounds the distance to the best disc, and a
+    value at or below floor is optimal.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
@@ -750,6 +775,7 @@ def envelope_at(
         v, c, diag = _search_core(frame, qq, b, x, key)
         diag["branch"] = None
         diag["trials"] = frame.trials
+        diag["floor"] = frame.floor
         return v, AnalyticDisc(c), diag
     lifts = lift_point(space, x)
     best, trials = None, 0
@@ -763,6 +789,7 @@ def envelope_at(
             diag["lifts"] = [lb for lb, _ in lifts]
             best = (v, AnalyticDisc(c, branch), diag)
     best[2]["trials"] = trials
+    best[2]["floor"] = u.floor
     return best
 
 

@@ -12,7 +12,10 @@ function evaluates the arguments itself, so each operator fixes their
 order: division tests its denominator for zeros before it evaluates the
 numerator.  Every node says which coordinates it reads (``reads``), so the
 search moves no coefficient a field cannot see and a field that reads a
-coordinate the points lack is refused before it is evaluated.
+coordinate the points lack is refused before it is evaluated.  Every node
+also gives a float range (lo, hi) that holds all its values
+(``value_range``), so the search can stop at a disc whose mean reaches the
+field's lower bound.
 
 Values live in R union {-inf}: log 0 is -inf (nonpositive arguments fold
 into the same convention), -inf + finite is -inf, min/max propagate it,
@@ -30,6 +33,7 @@ weights at arc endpoints and are normalized by the full circle.
 
 from __future__ import annotations
 
+import operator
 import re as _re
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -49,6 +53,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# The range of a node that bounds nothing.
+_ANY = (-np.inf, np.inf)
 
 
 class FieldNode:
@@ -56,6 +62,9 @@ class FieldNode:
     # Zero-based indices of the coordinates the node reads, as a frozenset;
     # None, for node kinds that do not say, means every coordinate.
     reads = None
+    # Floats (lo, hi) with lo <= v <= hi for every value v the node takes;
+    # (-inf, inf) for node kinds that do not say, and for complex nodes.
+    value_range = _ANY
 
     def ev(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -65,6 +74,10 @@ class FieldNode:
 class Const(FieldNode):
     value: float
     reads = frozenset()
+
+    @property
+    def value_range(self):
+        return (float(self.value), float(self.value))
 
     def ev(self, pts):
         return np.full(pts.shape[0], float(self.value))
@@ -135,30 +148,63 @@ def _fold(ufunc):
     return lambda pts, *args: reduce(ufunc, (a.ev(pts) for a in args))
 
 
+def _corners(combine):
+    """Range of a binary operator from its arguments' ranges: the least and
+    greatest of its four corner values, or (-inf, inf) when a corner is
+    undefined (inf - inf, 0 * inf).
+
+    Sound for +, - and *: over a box the exact operation takes its extremes
+    at the corners, and correctly rounded float arithmetic is monotone, so
+    it rounds every value inside the box between the rounded corners.
+    """
+
+    def span(a, b):
+        vals = [combine(x, y) for x in a for y in b]
+        return _ANY if any(v != v for v in vals) else (min(vals), max(vals))
+
+    return span
+
+
+def _nonnegative(*ranges):
+    return (0.0, np.inf)
+
+
+def _unbounded(*ranges):
+    return _ANY
+
+
 class _OpSpec(NamedTuple):
     arity: int  # 0 for two or more
     real_args: bool  # every argument must be real-valued
     real: bool  # the result is real; if False, real when every argument is
     fn: Callable  # (pts, *argument nodes) -> values
+    span: Callable  # (*argument ranges) -> range (lo, hi) of the values
 
 
 _OPS = {
-    "re": _OpSpec(1, False, True, _part(np.real)),
-    "im": _OpSpec(1, False, True, _part(np.imag)),
-    "abs": _OpSpec(1, False, True, lambda pts, a: np.abs(a.ev(pts))),
-    "abs2": _OpSpec(1, False, True, _abs2),
-    "log": _OpSpec(1, True, True, _log),
-    "exp": _OpSpec(1, True, True, _exp),
-    "neg": _OpSpec(1, False, False, lambda pts, a: -a.ev(pts)),
+    "re": _OpSpec(1, False, True, _part(np.real), _unbounded),
+    "im": _OpSpec(1, False, True, _part(np.imag), _unbounded),
+    "abs": _OpSpec(1, False, True, lambda pts, a: np.abs(a.ev(pts)),
+                   _nonnegative),
+    "abs2": _OpSpec(1, False, True, _abs2, _nonnegative),
+    "log": _OpSpec(1, True, True, _log, _unbounded),
+    "exp": _OpSpec(1, True, True, _exp, _nonnegative),
+    "neg": _OpSpec(1, False, False, lambda pts, a: -a.ev(pts),
+                   lambda a: (-a[1], -a[0])),
     "+": _OpSpec(2, False, False,
-                 _arith("addition", lambda pts, a, b: a.ev(pts) + b.ev(pts))),
+                 _arith("addition", lambda pts, a, b: a.ev(pts) + b.ev(pts)),
+                 _corners(operator.add)),
     "-": _OpSpec(2, False, False,
-                 _arith("subtraction", lambda pts, a, b: a.ev(pts) - b.ev(pts))),
+                 _arith("subtraction", lambda pts, a, b: a.ev(pts) - b.ev(pts)),
+                 _corners(operator.sub)),
     "*": _OpSpec(2, False, False,
-                 _arith("multiplication", lambda pts, a, b: a.ev(pts) * b.ev(pts))),
-    "/": _OpSpec(2, False, False, _arith("division", _quotient)),
-    "min": _OpSpec(0, True, True, _fold(np.minimum)),
-    "max": _OpSpec(0, True, True, _fold(np.maximum)),
+                 _arith("multiplication", lambda pts, a, b: a.ev(pts) * b.ev(pts)),
+                 _corners(operator.mul)),
+    "/": _OpSpec(2, False, False, _arith("division", _quotient), _unbounded),
+    "min": _OpSpec(0, True, True, _fold(np.minimum),
+                   lambda *r: (min(lo for lo, _ in r), min(hi for _, hi in r))),
+    "max": _OpSpec(0, True, True, _fold(np.maximum),
+                   lambda *r: (max(lo for lo, _ in r), max(hi for _, hi in r))),
 }
 
 
@@ -191,8 +237,20 @@ class Op(FieldNode):
         sets = [a.reads for a in self.args]
         return None if None in sets else frozenset().union(*sets)
 
+    @property
+    def value_range(self):
+        return _OPS[self.name].span(*(a.value_range for a in self.args))
+
     def ev(self, pts):
         return _OPS[self.name].fn(pts, *self.args)
+
+
+def _check_width(pts, width: int, what: str):
+    """Raise DomainError when the points have fewer than width coordinates."""
+    if width > pts.shape[1]:
+        raise DomainError(
+            f"{what} in {width} coordinates beyond ambient dimension {pts.shape[1]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -201,14 +259,18 @@ class BallIndicator(FieldNode):
 
     center: tuple  # complex per coordinate
     radius: float
+    value_range = (0.0, 1.0)
 
     @property
     def reads(self):
         return frozenset(range(len(self.center)))
 
     def ev(self, pts):
+        _check_width(pts, len(self.center), "ball")
         c = np.asarray(self.center, dtype=complex)
-        d2 = np.sum(np.abs(pts[:, : c.size] - c) ** 2, axis=1)
+        # A huge distance squares to inf, which is outside the ball.
+        with np.errstate(over="ignore"):
+            d2 = np.sum(np.abs(pts[:, : c.size] - c) ** 2, axis=1)
         return (d2 < self.radius * self.radius).astype(float)
 
 
@@ -217,12 +279,14 @@ class BoxIndicator(FieldNode):
     """Open box: per coordinate (re_lo, re_hi, im_lo, im_hi), strict."""
 
     bounds: tuple  # of 4-tuples
+    value_range = (0.0, 1.0)
 
     @property
     def reads(self):
         return frozenset(range(len(self.bounds)))
 
     def ev(self, pts):
+        _check_width(pts, len(self.bounds), "box")
         inside = np.ones(pts.shape[0], dtype=bool)
         for i, (rlo, rhi, ilo, ihi) in enumerate(self.bounds):
             z = pts[:, i]
@@ -241,6 +305,7 @@ class DistanceIndicator(FieldNode):
 
     within: object
     radius: float
+    value_range = (0.0, 1.0)
 
     def ev(self, pts):
         return self.within(pts, self.radius).astype(float)
@@ -256,6 +321,10 @@ class BranchCompose(FieldNode):
     @property
     def is_real(self):
         return self.inner.is_real
+
+    @property
+    def value_range(self):
+        return self.inner.value_range
 
     def ev(self, pts):
         if pts.shape[1] != 1:
@@ -279,6 +348,13 @@ class ScalarField:
         frozenset, or None when it may read every coordinate (a distance
         indicator or a pushforward, say)."""
         return self.expr.reads
+
+    @cached_property
+    def floor(self) -> float:
+        """A float at or below every value of the field (-inf when the
+        expression bounds nothing), so the mean of any samples, rounded,
+        is at most a few ulps of their magnitude below it."""
+        return self.expr.value_range[0]
 
     def check_dimension(self, dim: int) -> None:
         """Raise ValueError when the field reads a coordinate beyond z_dim."""

@@ -148,12 +148,14 @@ def test_no_powers_matrix_is_built_for_fft_sized_discs(monkeypatch):
             assert np.array_equal(got[k], boundary_from_coeffs(c[k], 64))
     assert max(built) == FFT_DEGREE and min(transformed) == disc._FFT_ROWS
     # A degree-32 search in a window scores and repairs its trials on the
-    # FFT branch alone.
+    # FFT branch alone.  The point lies outside the ball: inside it the
+    # constant disc already reads the field's floor -1, and the search
+    # scores no other trial.
     built.clear()
     transformed.clear()
     b = SearchBudget(degree_schedule=(32,), restarts=1, descent_iters=1, seed=3)
     envelope_at(parse_field("-indicator(ball(0, 0; 0.5))"),
-                euclidean_space(1, [0j], [1.0]), np.array([0.3 + 0j]), b,
+                euclidean_space(1, [0j], [1.0]), np.array([0.7 + 0j]), b,
                 QuadratureSpec(M=64))
     assert set(transformed) == {33} and max(built) < disc._FFT_ROWS
 

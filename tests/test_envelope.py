@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
@@ -41,6 +43,7 @@ from pshenv.errors import (
 )
 from pshenv.functional import (
     QuadratureSpec,
+    ScalarField,
     eval_field,
     parse_field,
     poisson_functional,
@@ -303,6 +306,116 @@ def _psh_c2_case():
 def _counterexample_case():
     space, u, pts, budget, q, _ = cli.counterexample_scenario()
     return space, u, pts, budget, q
+
+
+def _search_bits(v, w, d):
+    # repr round-trips every float, so equal reprs are equal bits.
+    return (repr(float(v)), w.coeffs.tobytes(), w.coeffs.shape,
+            None if w.branch is None else w.branch.label,
+            repr(d["stages"]), repr(d["rounds"]), repr(d["rh"]))
+
+
+def _without_floor(u, space, x, b, q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarField, "floor", property(lambda self: -np.inf))
+        return envelope_at(u, space, x, b, q)
+
+
+def _assert_floor_changes_nothing(u, space, x, b, q):
+    v, w, d = envelope_at(u, space, x, b, q)
+    v0, w0, d0 = _without_floor(u, space, x, b, q)
+    assert _search_bits(v, w, d) == _search_bits(v0, w0, d0)
+    assert d["trials"] <= d0["trials"]
+    assert d["floor"] == u.floor and d0["floor"] == -np.inf
+    return d, d0
+
+
+# Fields with a finite floor: indicators and a continuous cap over a flat
+# floor, combined by negation, min, max and constant factors and offsets.
+def _floored_fields(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda e: (e.map(lambda a: f"-{a}")
+                   | st.tuples(e, e).map(lambda t: f"min({t[0]}, {t[1]})")
+                   | st.tuples(e, e).map(lambda t: f"max({t[0]}, {t[1]})")
+                   | st.tuples(st.sampled_from(["0.5", "2"]), e).map(
+                       lambda t: f"{t[0]} * {t[1]}")
+                   | st.tuples(e, st.sampled_from(["0.25", "1"])).map(
+                       lambda t: f"({t[0]} - {t[1]})")),
+        max_leaves=5,
+    )
+
+
+_C1_LEAVES = ["indicator(ball(0, 0; 0.5))", "indicator(ball(0.3, -0.1; 0.3))",
+              "indicator(box(-0.6, 0.2, -0.3, 0.4))",
+              "max(-1, -2 * abs2(z1 - 0.5))"]
+_C2_LEAVES = _C1_LEAVES + [
+    "indicator(ball(0.2, 0, 0, 0.1; 0.5))",
+    "indicator(box(-0.5, 0.5, -0.5, 0.5; -0.2, 0.4, -0.4, 0.4))",
+    "max(-1, -2 * abs2(z1 - 0.5) - 2 * abs2(z2))"]
+# Glue rounds after each stage, so the children's searches stop early too.
+_GLUED = SearchBudget(degree_schedule=(2, 6), restarts=2, descent_iters=4,
+                      rh_rounds=1, boundary_points=4, child_degree=2)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(g=_floored_fields(_C1_LEAVES),
+       x=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+       window=st.booleans(), seed=st.integers(0, 3))
+# Searches that descend toward the floor: in the window they end above
+# it, without one they reach it.
+@example(g="max(-1, -2 * abs2(z1 - 0.5))", x=(0.3, 0.0), window=True, seed=0)
+@example(g="max(-1, -2 * abs2(z1 - 0.5))", x=(0.0, 0.0), window=False, seed=0)
+def test_floor_stop_changes_no_c1_search(g, x, window, seed):
+    # The search stops at the floor only where no later trial could win:
+    # value, witness, stages, rounds and glue rounds keep their bits, with
+    # and without a window, and no more trials are scored.
+    u = parse_field(g)
+    assert u.floor > -np.inf
+    space = euclidean_space(1, radii=1.0) if window else euclidean_space(1)
+    _assert_floor_changes_nothing(u, space, [complex(*x)],
+                                  replace(_GLUED, seed=seed), Q64)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(g=_floored_fields(_C2_LEAVES),
+       x=st.tuples(*[st.floats(-0.6, 0.6)] * 4), seed=st.integers(0, 3))
+def test_floor_stop_changes_no_c2_search(g, x, seed):
+    u = parse_field(g)
+    assert u.floor > -np.inf
+    b = SearchBudget(degree_schedule=(2, 4), restarts=2, descent_iters=4,
+                     seed=seed)
+    _assert_floor_changes_nothing(
+        u, euclidean_space(2), [complex(x[0], x[1]), complex(x[2], x[3])], b,
+        Q64)
+
+
+def test_floor_stop_changes_no_curve_search():
+    # The counterexample's field 1 - min(1, 1e12 |z|^2) has floor 0, which
+    # every point of the punctured z-axis reaches.
+    space, u, pts, budget, q, _ = cli.counterexample_scenario()
+    assert u.floor == 0.0
+    saved = 0
+    for x in pts:
+        d, d0 = _assert_floor_changes_nothing(u, space, x, budget, q)
+        saved += d0["trials"] - d["trials"]
+    assert saved > 0
+
+
+def test_search_at_the_floor_scores_only_the_constant_disc():
+    # Inside the ball the constant disc reads -1, the field's floor: no
+    # candidate, seed or descent move is tried, in C^1 with or without a
+    # window.
+    u = parse_field("-indicator(ball(0, 0; 0.5))")
+    for space in (euclidean_space(1), euclidean_space(1, radii=1.0)):
+        v, w, d = envelope_at(u, space, [0.3], SMALL, Q64)
+        assert (v, d["floor"], d["trials"]) == (-1.0, -1.0, 1)
+        assert w.degree == 0
+        assert [s["source"] for s in d["stages"]] == ["carried"]
+    v, w, d = envelope_at(u, euclidean_space(1), [0.7], SMALL, Q64)
+    assert v > d["floor"] == -1.0 and d["trials"] > 1
+    assert envelope_at(parse_field("re(z1)"), euclidean_space(1), [0.1],
+                       SMALL, Q64)[2]["floor"] == -np.inf
 
 
 @pytest.mark.parametrize("case", [_radial_indicator_case, _psh_c2_case,

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pshenv import hull
 from pshenv.errors import DomainError
 from pshenv.functional import (
     BallIndicator,
@@ -269,12 +270,19 @@ _COMPONENT = st.one_of(st.sampled_from([0.0, 1.0, -0.5]),
                        st.floats(-2.0, 2.0, allow_nan=False))
 
 
+# Components that overflow squares and sums, and infinite ones.
+_WIDE_COMPONENT = st.one_of(
+    _COMPONENT, st.sampled_from([1e300, -1e300, 1e160, np.inf, -np.inf]))
+
+
 @st.composite
-def _points(draw):
+def _points(draw, component=_COMPONENT):
     dim = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 6))
-    parts = draw(st.lists(_COMPONENT, min_size=2 * n * dim, max_size=2 * n * dim))
-    pts = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    parts = draw(st.lists(component, min_size=2 * n * dim, max_size=2 * n * dim))
+    # Set the parts, not 1j * im: that turns an infinite part into NaN.
+    pts = np.array(parts[0::2], dtype=complex)
+    pts.imag = parts[1::2]
     return pts.reshape(n, dim)
 
 
@@ -305,3 +313,27 @@ def test_generated_expressions_match_the_reference_or_raise_domain_error(expr, p
     assert not isinstance(got, DomainError), (text, got)
     assert not np.isnan(got).any(), text
     assert np.array_equal(got.view(np.int64), want.view(np.int64)), text
+
+
+@PROPERTY
+@given(_expressions(4), _points(_WIDE_COMPONENT))
+def test_every_value_lies_in_the_value_range(expr, pts):
+    # ScalarField.floor is the low end of the range: no value is below it,
+    # wherever the expression evaluates at all.
+    u = parse_field(expr[0])
+    lo, hi = u.expr.value_range
+    assert lo <= hi and lo == u.floor, expr[0]
+    got = _outcome(lambda: u.values(pts))
+    if not isinstance(got, DomainError):
+        assert np.all((lo <= got) & (got <= hi)), (expr[0], got, lo, hi)
+
+
+def test_floors_of_the_benchmark_fields():
+    K = hull.CompactSet(balls=(([0.5], 0.25),))
+    assert hull.membership_field(K, 0.1).floor == -1.0
+    assert parse_field("-indicator(ball(0, 0; 0.25))").floor == -1.0
+    assert parse_field("-indicator(ball(0, 0; 1))").floor == -1.0
+    assert parse_field("1 - min(1, 1000000000000 * abs2(z1))").floor == 0.0
+    assert parse_field("abs2(z1) + abs2(z2)").floor == 0.0
+    for text in ("re(z1)", "max(re(z1), re(z2))", "log(0.001 + abs2(z1))"):
+        assert parse_field(text).floor == -np.inf

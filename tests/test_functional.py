@@ -229,3 +229,57 @@ def test_check_dimension_names_the_coordinate(text, dim):
                                          f"the points have {dim}"):
         u.check_dimension(dim)
     u.check_dimension(max(u.reads) + 1)
+
+
+@pytest.mark.parametrize("text", ["-indicator(ball(0, 0, 0, 0; 1))",
+                                  "indicator(box(0, 1, 0, 1; 0, 1, 0, 1))"])
+def test_indicator_wider_than_the_points_raises(text):
+    # A two-coordinate set on one-coordinate points: the ball's centre used
+    # to broadcast against the one column (-1.0 without a word) and the box
+    # raised IndexError.
+    u = parse_field(text)
+    with pytest.raises(DomainError, match="2 coordinates beyond ambient "
+                                          "dimension 1"):
+        eval_field(u, [0.5 + 0.25j])
+    assert eval_field(u, [0.5 + 0.25j, 0.5 + 0.25j]) in (-1.0, 1.0)
+    assert eval_field(u, [0.5 + 0.25j, 0.5 + 0.25j, 7.0]) in (-1.0, 1.0)
+
+
+_ANY = (-np.inf, np.inf)
+_DIST = DistanceIndicator(lambda pts, r: pts[:, 0] == 0, 0.1)
+
+
+@pytest.mark.parametrize("node, span", [
+    (Const(1.5), (1.5, 1.5)),
+    (Coord(0), _ANY),
+    (BallIndicator((0j,), 0.5), (0.0, 1.0)),
+    (BoxIndicator(((0, 1, 0, 1),)), (0.0, 1.0)),
+    (_DIST, (0.0, 1.0)),
+    (Op("neg", (_DIST,)), (-1.0, 0.0)),
+    (parse_field("re(z1)").expr, _ANY),
+    (parse_field("im(z1)").expr, _ANY),
+    (parse_field("abs(z1 - 1)").expr, (0.0, np.inf)),
+    (parse_field("abs2(z1)").expr, (0.0, np.inf)),
+    (parse_field("exp(-2)").expr, (0.0, np.inf)),
+    (parse_field("log(2)").expr, _ANY),
+    (parse_field("1 / 2").expr, _ANY),
+    (parse_field("1 - min(1, 1000000000000 * abs2(z1))").expr, (0.0, 1.0)),
+    (parse_field("2 * indicator(ball(0, 0; 1)) - 3").expr, (-3.0, -1.0)),
+    (parse_field("-2 * indicator(ball(0, 0; 1))").expr, (-2.0, 0.0)),
+    (parse_field("max(-indicator(ball(0, 0; 1)), -0.5, -abs2(z1))").expr,
+     (-0.5, 0.0)),
+    (parse_field("min(indicator(ball(0, 0; 1)), 3)").expr, (0.0, 1.0)),
+    (parse_field("max(indicator(ball(0, 0; 1)), -1)").expr, (0.0, 1.0)),
+    # 0 * inf and inf - inf have no value, so those combinations bound
+    # nothing.
+    (parse_field("0 * exp(re(z1))").expr, _ANY),
+    (parse_field("abs2(z1) - abs2(z2)").expr, _ANY),
+    (parse_field("1e999 + log(2)").expr, _ANY),
+    (BranchCompose(BranchMap("b", ([0.0, 1.0], [0.0])),
+                   parse_field("-indicator(ball(0, 0; 1))").expr), (-1.0, 0.0)),
+    (decreasing_approximation(parse_field("re(z2)"), 3.0).expr, (-3.0, np.inf)),
+])
+def test_value_ranges_of_each_node_kind(node, span):
+    assert node.value_range == span
+    if node.is_real:
+        assert ScalarField(node).floor == span[0]
