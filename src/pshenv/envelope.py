@@ -33,7 +33,6 @@ from .disc import (
 )
 from .errors import (
     DomainError,
-    EmptyShell,
     IllConditioned,
     InterpolationOutOfRange,
     PointOutsideWindow,
@@ -44,7 +43,8 @@ from .functional import (
     boundary_means,
     pushforward_field,
 )
-from .space import SpaceModel, _as_point, is_regular, lift_point
+from .oracle import _bilinear
+from .space import SpaceModel, _as_point, lift_point
 
 # A candidate replaces the incumbent only when it wins by this much; keeps
 # the accept/reject decisions stable under last-ulp evaluation noise.
@@ -833,9 +833,11 @@ def envelope_grid(
 class _SliceInterp:
     """Piecewise-linear interpolation of grid values over one complex slice.
 
-    Full-rank point sets go through Delaunay triangulation; collinear sets
-    fall back to interpolation along their line.  Queries outside the data
-    raise InterpolationOutOfRange.
+    Full-rank point sets must fill a tensor grid in (re, im), each node
+    once, and are interpolated bilinearly cell by cell with the oracle's
+    rule (``oracle._bilinear``), so -inf values stay -inf.  Collinear sets
+    are interpolated along their line.  Other point sets, and queries
+    outside the grid's rectangle or segment, raise InterpolationOutOfRange.
     """
 
     def __init__(self, params, values):
@@ -846,14 +848,18 @@ class _SliceInterp:
         _, s_svd, vt = np.linalg.svd(spread, full_matrices=False)
         scale = max(1.0, float(s_svd[0]))
         if len(s_svd) > 1 and s_svd[1] > 1e-9 * scale:
-            # The only scipy use in the package: importing it here keeps
-            # `import pshenv` from loading scipy.
-            from scipy.interpolate import LinearNDInterpolator
-
-            self._nd = LinearNDInterpolator(pts, self.values)
             self._line = None
+            self._axes = (np.unique(pts[:, 0]), np.unique(pts[:, 1]))
+            ix, iy = (np.searchsorted(a, c) for a, c in zip(self._axes, pts.T))
+            nx, ny = self._axes[0].size, self._axes[1].size
+            if len(pts) != nx * ny or np.unique(iy * nx + ix).size != nx * ny:
+                raise InterpolationOutOfRange(
+                    f"{len(pts)} slice points do not fill a {nx} x {ny} "
+                    "tensor grid in (re, im) exactly once"
+                )
+            self._grid = np.empty((ny, nx))
+            self._grid[iy, ix] = self.values
         else:
-            self._nd = None
             axis = vt[0]
             coord = spread @ axis
             order = np.argsort(coord, kind="stable")
@@ -862,13 +868,15 @@ class _SliceInterp:
     def __call__(self, params):
         params = np.asarray(params, dtype=complex)
         pts = np.column_stack([np.real(params), np.imag(params)])
-        if self._nd is not None:
-            out = self._nd(pts)
-            if np.isnan(out).any():
-                raise InterpolationOutOfRange(
-                    "trial disc leaves the convex hull of the grid"
-                )
-            return np.asarray(out, dtype=float)
+        if self._line is None:
+            frac = []
+            for a, c in zip(self._axes, pts.T):
+                if not (c.min() >= a[0] - 1e-12 and c.max() <= a[-1] + 1e-12):
+                    raise InterpolationOutOfRange(
+                        "trial disc leaves the grid rectangle"
+                    )
+                frac.append(np.interp(c, a, np.arange(a.size)))
+            return _bilinear(self._grid, *frac)
         ctr, axis, coord, vals = self._line
         rel = pts - ctr
         along = rel @ axis
@@ -916,7 +924,10 @@ def check_submean(
     passes every disc; a report entry is returned for each disc whose center
     value exceeds the averaged boundary by more than tol.  Failures of upper
     semicontinuity show up here through discs crossing the offending point.
+    Raises ValueError unless tol is finite and >= 0.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"submean tol must be finite and >= 0, got {tol!r}")
     qq = q if q is not None else QuadratureSpec()
     # Each branch of a curve, and C^1 as the label None, is a slice that is
     # interpolated in the disc's parameter; C^N grids are looked up exactly.
@@ -963,35 +974,3 @@ def check_submean(
             )
     return reports
 
-
-def upper_regularize(
-    estimate: EnvelopeEstimate,
-    space: SpaceModel,
-    p,
-    radii,
-):
-    """Shell maxima of the estimate around p over regular grid points.
-
-    Returns (value, report) where report maps each radius to the max of the
-    estimate over grid points within that distance of p, excluding p itself
-    and (on curves) every point that ``is_regular`` rejects; value is the max
-    at the smallest radius.  Raises EmptyShell when a shell contains no
-    usable grid point.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] <= 0:
-        raise ValueError("radii must be positive")
-    pts = np.stack(estimate.points)
-    vals = np.asarray(estimate.values, dtype=float)
-    dist = np.sqrt(np.sum(np.abs(pts - p[None, :]) ** 2, axis=1))
-    keep = dist > 1e-12
-    if space.kind == "curve":
-        keep &= np.array([is_regular(space, x) for x in pts])
-    report = {}
-    for r in radii:
-        shell = keep & (dist <= r)
-        if not shell.any():
-            raise EmptyShell(f"no regular grid points within {r} of the point")
-        report[r] = float(np.max(vals[shell]))
-    return report[radii[0]], report

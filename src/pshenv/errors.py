@@ -44,10 +44,6 @@ class InterpolationOutOfRange(PshenvError):
     """A disc leaves the region covered by the value grid."""
 
 
-class EmptyShell(PshenvError):
-    """No regular grid points inside a requested shell radius."""
-
-
 class SchemaMismatch(PshenvError):
     """Two result files do not share the same structure."""
 

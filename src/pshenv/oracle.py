@@ -205,20 +205,35 @@ def interp_bilinear(domain: GridDomain, grid: np.ndarray, z) -> float:
     z = complex(z)
     fx = (z.real - domain.x[0]) / domain.h
     fy = (z.imag - domain.y[0]) / domain.h
-    jx, jy = int(np.floor(fx)), int(np.floor(fy))
     n = domain.n
-    if not (0 <= jx < n - 1 and 0 <= jy < n - 1):
+    if not (0 <= fx < n - 1 and 0 <= fy < n - 1):
         raise ValueError(f"point {z} outside the oracle grid")
-    ax, ay = fx - jx, fy - jy
-    patch = grid[jy : jy + 2, jx : jx + 2]
-    if np.isnan(patch).any():
+    jx, jy = int(fx), int(fy)
+    if np.isnan(grid[jy : jy + 2, jx : jx + 2]).any():
         raise ValueError(f"point {z} touches inactive oracle nodes")
-    # A node of weight 0 (the point is on a grid line) is left out, so that
-    # -inf there does not turn into 0 * -inf = NaN.
-    unused = np.logical_or.outer([False, ay == 0], [False, ax == 0])
-    patch = np.where(unused & np.isinf(patch), 0.0, patch)
-    return float((1 - ay) * ((1 - ax) * patch[0, 0] + ax * patch[0, 1])
-                 + ay * ((1 - ax) * patch[1, 0] + ax * patch[1, 1]))
+    return float(_bilinear(grid, np.array([fx]), np.array([fy]))[0])
+
+
+def _bilinear(grid: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Bilinear values of grid at fractional node coordinates (fx, fy).
+
+    grid[i, j] is the node (j, i), and callers keep 0 <= fx <= columns - 1
+    and 0 <= fy <= rows - 1.  A point takes the cell whose low corner is
+    (floor(fx), floor(fy)), or the last cell on the last column or row.  A
+    node of weight 0 (the point is on a grid line) is left out, so that
+    -inf there does not turn into 0 * -inf = NaN.
+    """
+    rows, cols = grid.shape
+    jx = np.minimum(np.floor(fx), cols - 2).astype(np.intp)
+    jy = np.minimum(np.floor(fy), rows - 2).astype(np.intp)
+    ax, ay = fx - jx, fy - jy
+    wx = np.stack([1 - ax, ax], axis=-1)
+    wy = np.stack([1 - ay, ay], axis=-1)
+    patch = grid[jy[:, None, None] + [[0], [1]], jx[:, None, None] + [0, 1]]
+    unused = (wy == 0)[:, :, None] | (wx == 0)[:, None, :]
+    p = np.where(unused & np.isinf(patch), 0.0, patch)
+    return (wy[:, 0] * (wx[:, 0] * p[:, 0, 0] + wx[:, 1] * p[:, 0, 1])
+            + wy[:, 1] * (wx[:, 0] * p[:, 1, 0] + wx[:, 1] * p[:, 1, 1]))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from pshenv.envelope import (
     _exp_coeffs,
     _first_improvement,
     _Frame,
+    _SliceInterp,
     _project,
     _rh_round,
     _score,
@@ -32,11 +33,9 @@ from pshenv.envelope import (
     child_budget,
     envelope_at,
     envelope_grid,
-    upper_regularize,
 )
 from pshenv.errors import (
     DomainError,
-    EmptyShell,
     InterpolationOutOfRange,
     PointNotOnSpace,
     PointOutsideWindow,
@@ -48,7 +47,7 @@ from pshenv.functional import (
     parse_field,
     poisson_functional,
 )
-from pshenv.oracle import field_on_grid, grid_domain
+from pshenv.oracle import field_on_grid, grid_domain, interp_bilinear
 from pshenv.space import BranchMap, curve_space, euclidean_space
 
 SMALL = SearchBudget(degree_schedule=(2,), restarts=2, descent_iters=5, seed=1)
@@ -507,46 +506,58 @@ def test_check_submean_rejects_offline_disc():
         check_submean(est, euclidean_space(1), [trial], Q64)
 
 
-def test_upper_regularize_constant_grid():
-    est = lattice_estimate(lambda z: 3.5)
-    val, report = upper_regularize(est, euclidean_space(1), [0.0], [0.3, 0.6])
-    assert val == 3.5
-    assert set(report) == {0.3, 0.6}
-
-
-def test_upper_regularize_excludes_the_point_itself():
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_check_submean_refuses_a_bad_tol(tol):
+    # At tol = nan, vc > avg + nan is always false: the spike went unflagged.
     est = lattice_estimate(lambda z: 1.0 if z == 0 else 0.0)
-    val, _ = upper_regularize(est, euclidean_space(1), [0.0], [0.3])
-    assert val == 0.0
+    trial = AnalyticDisc(np.array([[0.0 + 0j], [0.25 + 0j]]))
+    with pytest.raises(ValueError, match="tol"):
+        check_submean(est, euclidean_space(1), [trial], Q64, tol=tol)
 
 
-def test_upper_regularize_empty_shell():
-    est = lattice_estimate(lambda z: 0.0)
-    with pytest.raises(EmptyShell):
-        upper_regularize(est, euclidean_space(1), [0.0], [1e-6])
+def test_check_submean_keeps_minus_infinity():
+    # A node at -inf has weight 0 at the neighbouring node 0.25, so the
+    # constant disc there reads 0; a circle through the cells at 0 reads -inf.
+    est = lattice_estimate(lambda z: -np.inf if z == 0 else 0.0)
+    const = AnalyticDisc(np.array([[0.25 + 0j]]))
+    assert check_submean(est, euclidean_space(1), [const], Q64) == []
+    circle = AnalyticDisc(np.array([[0.25 + 0j], [0.2 + 0j]]))
+    reports = check_submean(est, euclidean_space(1), [circle], Q64)
+    assert len(reports) == 1
+    assert reports[0]["center_value"] == 0.0
+    assert reports[0]["boundary_average"] == -np.inf
 
 
-def test_upper_regularize_leaves_out_a_tangency():
-    # The parabola (t, t^2) touches its tangent line (t, 6t - 9) at (3, 9):
-    # two lifts, so the point is not regular and its value 5 stays out.
-    parabola = BranchMap("parabola", ([0, 1], [0, 0, 1]))
-    tangent = BranchMap("tangent", ([0, 1], [-9, 6]))
-    space = curve_space((parabola, tangent))
-    pts = [np.array(p, complex)
-           for p in ([3.0, 9.0], [3.2, 3.2**2], [2.9, 2.9**2], [3.1, 9.6])]
-    est = EnvelopeEstimate(pts, [5.0, 0.0, 0.0, 0.0], [None] * 4, [{}] * 4)
-    val, report = upper_regularize(est, space, [3.1, 3.1**2], [3.0])
-    assert val == 0.0 and report == {3.0: 0.0}
+@pytest.mark.parametrize("seed", range(4))
+def test_slice_interp_matches_interp_bilinear(seed):
+    rng = np.random.default_rng(seed)
+    dom = grid_domain(33)
+    g = rng.normal(size=(33, 33))
+    if seed:
+        g[rng.random((33, 33)) < 0.1 * seed] = -np.inf
+    terp = _SliceInterp(dom.points().ravel(), g.ravel())
+    # Off-node points, points on grid lines, and nodes; the oracle refuses
+    # the last row and column of nodes, so queries stay below them.
+    lo, hi = dom.x[0], dom.x[-1]
+    free = rng.uniform(lo, hi, size=(40, 2))
+    on_x = np.column_stack([rng.choice(dom.x[:-1], 40), rng.uniform(lo, hi, 40)])
+    nodes = rng.choice(dom.x[:-1], size=(40, 2))
+    z = np.concatenate([free, on_x, on_x[:, ::-1], nodes]) @ [1, 1j]
+    want = [interp_bilinear(dom, g, zk) for zk in z]
+    np.testing.assert_allclose(terp(z), want, rtol=0, atol=1e-12)
 
 
-def test_upper_regularize_on_the_counterexample_grid():
-    # Only the origin, where the axes cross, is left out besides the point.
-    space, u, grid, budget, q, _ = cli.counterexample_scenario()
-    est = envelope_grid(u, space, grid, budget, q)
-    assert upper_regularize(est, space, [0, 0], [0.26]) == (1.0, {0.26: 1.0})
-    assert upper_regularize(est, space, [0, 0.25], [0.51]) == (1.0, {0.51: 1.0})
-    assert upper_regularize(est, space, [0.25, 0], [0.3, 0.6]) == (
-        0.0, {0.3: 0.0, 0.6: 1.0})
+def test_slice_interp_refuses_what_is_not_a_tensor_grid():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InterpolationOutOfRange, match="tensor grid"):
+        _SliceInterp(rng.normal(size=25) + 1j * rng.normal(size=25), np.zeros(25))
+    ticks = np.linspace(-0.5, 0.5, 5)
+    nodes = (ticks[None, :] + 1j * ticks[:, None]).ravel()
+    with pytest.raises(InterpolationOutOfRange, match="tensor grid"):
+        _SliceInterp(nodes[1:], np.zeros(24))
+    terp = _SliceInterp(nodes, np.zeros(25))
+    with pytest.raises(InterpolationOutOfRange, match="rectangle"):
+        terp(np.array([0.3 + 0.51j]))
 
 
 def _first_improvement_one_by_one(frame, q, trials, best, btol):
