@@ -27,7 +27,7 @@ from . import __version__
 from .disc import AnalyticDisc, complex_from_json, complex_to_json, disc_to_json
 from .envelope import EnvelopeEstimate, SearchBudget, check_submean, envelope_grid
 from .errors import ConfigError, PshenvError, SchemaMismatch
-from .functional import QuadratureSpec, decreasing_approximation, parse_field
+from .functional import QuadratureSpec, parse_field
 from .hull import (
     CompactSet,
     HullCertificate,
@@ -96,7 +96,6 @@ _BUDGET_FIELDS = {
     for f in dataclasses.fields(SearchBudget)
 }
 
-_FIELD_KEYS = {"expr": str, "truncate": float}
 _SET_KEYS = {"balls": _complex_lists, "boxes": _complex_lists,
              "points": _complex_lists, "blow_radius": float}
 _SET_DEFAULTS = {"balls": (), "boxes": (), "points": (), "blow_radius": 0.0}
@@ -107,7 +106,7 @@ _SCHEMA = {
         {"kind": str, "dim": int, "center": _complexes, "radius": _floats,
          "branch.*": _complex_lists},
         required=("kind",), needs={"center": "radius"}),
-    "field": _Section(_FIELD_KEYS, required=("expr",)),
+    "field": _Section({"expr": str}, required=("expr",)),
     "grid": _Section(
         {"kind": str, "points": _complex_lists, "coord": int, "base": _complexes,
          "re": _range, "im": _range, "r": _range, "angle": float},
@@ -124,7 +123,7 @@ _SCHEMA = {
         required=("x", "u_radius", "eps"), defaults=_SET_DEFAULTS,
         needs={"window_center": "window_radius"}),
     "oracle": _Section(
-        {**_FIELD_KEYS, "n": int, "rect": _floats, "mask": str, "inner": float,
+        {"expr": str, "n": int, "rect": _floats, "mask": str, "inner": float,
          "tol": float, "max_iters": int, "compare": str},
         required=("expr",),
         defaults={"n": 129, "rect": (-1.0, 1.0, -1.0, 1.0), "mask": "rect",
@@ -242,8 +241,6 @@ def _parse_field(sec, dim: int):
         u.check_dimension(dim)
     except ValueError as exc:
         raise ConfigError(f"[{sec.name}] expr: {exc}") from exc
-    if "truncate" in sec:
-        u = decreasing_approximation(u, sec["truncate"])
     return u
 
 

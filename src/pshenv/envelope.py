@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     IllConditioned,
     InterpolationOutOfRange,
+    NotApplicable,
     PointOutsideWindow,
 )
 from .functional import (
@@ -673,7 +674,7 @@ def _rh_round(frame, q, b: SearchBudget, coeffs, val, stage_degree, key_base, se
 
 
 # ---------------------------------------------------------------------------
-# Core staged search (shared by the euclidean and curve paths).
+# Core staged search (run once per lift of the point).
 
 
 def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
@@ -732,6 +733,18 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
     return best_v, best_c, diag
 
 
+def _lifts(space: SpaceModel, x) -> list:
+    """Where the searches at x run: one (label, parameter) per lift of x.
+
+    C^N is its own normalization, so a euclidean point is its single lift,
+    under the label None, with x itself as parameter.  A curve point has one
+    lift per branch parameter t that ``lift_point`` returns, as [t].
+    """
+    if space.kind == "euclidean":
+        return [(None, x)]
+    return [(label, np.array([t])) for label, t in lift_point(space, x)]
+
+
 def envelope_at(
     u: ScalarField,
     space: SpaceModel,
@@ -743,8 +756,10 @@ def envelope_at(
     """Envelope value at one point: (value, witness disc, diagnostics).
 
     The witness is centered at x (bit-exactly) and the value equals
-    ``poisson_functional(u, witness, q)``.  On curves every lift of x is
-    searched and the best one wins; diagnostics record which.  Raises
+    ``poisson_functional(u, witness, q)``.  Every lift of x (``_lifts``) is
+    searched and the best one wins: diag["lifts"] lists the lifts' branch
+    labels and diag["branch"] the winner's, both None for a euclidean
+    point, whose only lift is itself.  Raises
     PointOutsideWindow / PointNotOnSpace for points the space does not hold,
     ValueError for a point of the wrong shape or with a non-finite
     coordinate (before the window test), ValueError for a field that reads a
@@ -770,19 +785,12 @@ def envelope_at(
         if not bool(space.domain_constraint.satisfied(x, slack=_FEAS_SLACK)):
             raise PointOutsideWindow(f"point {x} lies outside the window")
     key = (b.seed, int(point_index))
-    if space.kind == "euclidean":
-        frame = _Frame(u, space)
-        v, c, diag = _search_core(frame, qq, b, x, key)
-        diag["branch"] = None
-        diag["trials"] = frame.trials
-        diag["floor"] = frame.floor
-        return v, AnalyticDisc(c), diag
-    lifts = lift_point(space, x)
+    lifts = _lifts(space, x)
     best, trials = None, 0
     for label, t in lifts:
-        branch = space.branch(label)
+        branch = None if label is None else space.branch(label)
         frame = _Frame(u, space, branch)
-        v, c, diag = _search_core(frame, qq, b, np.array([t]), key)
+        v, c, diag = _search_core(frame, qq, b, t, key)
         trials += frame.trials
         if best is None or v < best[0]:
             diag["branch"] = label
@@ -888,28 +896,6 @@ class _SliceInterp:
         return np.interp(along, coord, vals)
 
 
-class _GridLookup:
-    """Exact-match lookup for grids in C^N with N >= 2."""
-
-    def __init__(self, points, values):
-        self.table = {self._key(p): float(v) for p, v in zip(points, values)}
-
-    @staticmethod
-    def _key(p):
-        return tuple((round(z.real, 9), round(z.imag, 9)) for z in np.ravel(p))
-
-    def __call__(self, pts):
-        out = np.empty(len(pts), dtype=float)
-        for i, p in enumerate(pts):
-            k = self._key(p)
-            if k not in self.table:
-                raise InterpolationOutOfRange(
-                    "trial disc visits a point that is not on the value grid"
-                )
-            out[i] = self.table[k]
-        return out
-
-
 def check_submean(
     estimate: EnvelopeEstimate,
     space: SpaceModel,
@@ -924,44 +910,34 @@ def check_submean(
     passes every disc; a report entry is returned for each disc whose center
     value exceeds the averaged boundary by more than tol.  Failures of upper
     semicontinuity show up here through discs crossing the offending point.
-    Raises ValueError unless tol is finite and >= 0.
+    Each branch of a curve, and C^1 as the label None, is a slice of the
+    points' lifts (``_lifts``), interpolated in the disc's parameter.
+    Raises ValueError unless tol is finite and >= 0, and NotApplicable in
+    C^N with N >= 2, whose points are no slice of one parameter.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"submean tol must be finite and >= 0, got {tol!r}")
+    if space.kind == "euclidean" and space.ambient_dim > 1:
+        raise NotApplicable(
+            f"check_submean needs C^1 or a curve, not C^{space.ambient_dim}")
     qq = q if q is not None else QuadratureSpec()
-    # Each branch of a curve, and C^1 as the label None, is a slice that is
-    # interpolated in the disc's parameter; C^N grids are looked up exactly.
-    lookup = None
-    if space.kind == "curve" or space.ambient_dim == 1:
-        by_label = {}
-        for p, v in zip(estimate.points, estimate.values):
-            lifts = lift_point(space, p) if space.kind == "curve" else [(None, p[0])]
-            for label, t in lifts:
-                ts, vs = by_label.setdefault(label, ([], []))
-                ts.append(t)
-                vs.append(v)
-        slices = {
-            label: _SliceInterp(np.asarray(ts), vs)
-            for label, (ts, vs) in by_label.items()
-        }
-    else:
-        lookup = _GridLookup(estimate.points, estimate.values)
+    pairs = {}
+    for p, v in zip(estimate.points, estimate.values):
+        for label, t in _lifts(space, p):
+            pairs.setdefault(label, []).append((t[0], v))
+    slices = {label: _SliceInterp(*zip(*tv)) for label, tv in pairs.items()}
 
     reports = []
     for idx, f in enumerate(trial_discs):
         if space.kind == "curve" and f.branch is None:
             raise ValueError("trial discs on a curve space must carry a branch")
-        if lookup is not None:
-            vc = float(lookup([f.center()])[0])
-            boundary = lookup(list(f.boundary_values(qq.M)))
-        else:
-            label = f.branch.label if f.branch is not None else None
-            if label not in slices:
-                raise InterpolationOutOfRange(f"no grid values on branch {label!r}")
-            terp = slices[label]
-            vc = float(terp(np.array([f.coeffs[0, 0]]))[0])
-            boundary = terp(boundary_from_coeffs(f.coeffs, qq.M)[:, 0])
-        avg = float(boundary_means(np.asarray(boundary)[None])[0])
+        label = f.branch.label if f.branch is not None else None
+        if label not in slices:
+            raise InterpolationOutOfRange(f"no grid values on branch {label!r}")
+        terp = slices[label]
+        vc = float(terp(np.array([f.coeffs[0, 0]]))[0])
+        boundary = terp(boundary_from_coeffs(f.coeffs, qq.M)[:, 0])
+        avg = float(boundary_means(boundary[None])[0])
         if vc > avg + tol:
             reports.append(
                 {
@@ -973,4 +949,3 @@ def check_submean(
                 }
             )
     return reports
-

@@ -385,9 +385,10 @@ def eval_field(u: ScalarField, p) -> float:
 
 
 def decreasing_approximation(u: ScalarField, k: float) -> ScalarField:
-    """Truncation max(u, -k); decreases to u pointwise as k grows."""
-    if k < 0:
-        raise ValueError("truncation level k must be >= 0")
+    """Truncation max(u, -k); decreases to u pointwise as k grows.  Raises
+    ValueError unless k >= 0 (NaN included: max(u, NaN) is NaN everywhere)."""
+    if not k >= 0:
+        raise ValueError(f"truncation level k must be >= 0, got {k!r}")
     return ScalarField(Op("max", (u.expr, Const(-float(k)))))
 
 

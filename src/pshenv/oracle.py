@@ -201,14 +201,15 @@ def subharmonic_minorant(u_grid: np.ndarray, domain: GridDomain,
 
 
 def interp_bilinear(domain: GridDomain, grid: np.ndarray, z) -> float:
-    """Bilinear interpolation of a grid function at a complex point."""
+    """Bilinear interpolation of a grid function at a complex point of the
+    grid's closed rectangle; ValueError off it or next to an inactive node."""
     z = complex(z)
     fx = (z.real - domain.x[0]) / domain.h
     fy = (z.imag - domain.y[0]) / domain.h
     n = domain.n
-    if not (0 <= fx < n - 1 and 0 <= fy < n - 1):
+    if not (0 <= fx <= n - 1 and 0 <= fy <= n - 1):
         raise ValueError(f"point {z} outside the oracle grid")
-    jx, jy = int(fx), int(fy)
+    jx, jy = min(int(fx), n - 2), min(int(fy), n - 2)
     if np.isnan(grid[jy : jy + 2, jx : jx + 2]).any():
         raise ValueError(f"point {z} touches inactive oracle nodes")
     return float(_bilinear(grid, np.array([fx]), np.array([fy]))[0])

@@ -1,6 +1,8 @@
 import configparser
 import dataclasses
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +396,23 @@ child_degree = 2
                for f in dataclasses.fields(SearchBudget))
 
 
+def test_readme_config_table_lists_the_schema():
+    # README's config table names exactly the schema's keys, section by
+    # section (a row with no section continues the one above), so a key
+    # added to or dropped from the schema moves the table with it.
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    table, section = set(), None
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) != 5 or not cells[1].startswith("`"):
+            continue
+        section = cells[0].strip("`[]") or section
+        table |= {(section, key.replace("<label>", "*"))
+                  for key in re.findall(r"`([^`]+)`", cells[1])}
+    assert table == {(name, key) for name, spec in cli._SCHEMA.items()
+                     for key in spec.readers}
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("restarts = 2", "restarts = two", "restarts"),
     ("restarts = 2", "restarts = 2.5", "restarts"),
@@ -406,6 +425,7 @@ child_degree = 2
     ("seed = 4", "seed = 4\nlaurent_m = 1", "laurent_m"),
     ("seed = 4", "seed = 4\nchild_degrees = 3", "child_degrees"),
     ("m = 64", "m = 64\nclip = -40", "clip"),
+    ("expr = abs2(z1)", "expr = abs2(z1)\ntruncate = 3", "truncate"),
 ])
 def test_bad_budget_value_or_key_is_named(tmp_path, capsys, old, new, key):
     cfg = write(tmp_path / "run.cfg", ENVELOPE_CFG.replace(old, new))

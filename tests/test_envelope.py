@@ -37,6 +37,7 @@ from pshenv.envelope import (
 from pshenv.errors import (
     DomainError,
     InterpolationOutOfRange,
+    NotApplicable,
     PointNotOnSpace,
     PointOutsideWindow,
 )
@@ -284,6 +285,17 @@ def test_curve_diagnostics_track_branches():
     assert wit2.center()[0] == 0.7 + 0j
 
 
+def test_euclidean_point_is_its_own_single_lift():
+    # C^N is its own normalization: one lift, labelled None, and a witness
+    # that carries no branch.
+    for x in ([0.3], [0.3, -0.1j]):
+        u = parse_field("abs2(z1 - 1)")
+        v, wit, diag = envelope_at(u, euclidean_space(len(x)), x, SMALL, Q64)
+        assert diag["branch"] is None and diag["lifts"] == [None]
+        assert wit.branch is None
+        assert v == poisson_functional(u, wit, Q64)
+
+
 def _radial_indicator_case():
     # The windowed C^1 radial grid of test_acceptance's DETERMINISM_CFG.
     u = parse_field("-indicator(ball(0, 0; 0.25))")
@@ -493,6 +505,17 @@ def test_check_submean_requires_branch_on_curves():
     bare = AnalyticDisc(np.array([[0j, 0j]]))
     with pytest.raises(ValueError):
         check_submean(est, space, [bare], Q64)
+
+
+def test_check_submean_refuses_c2():
+    # A C^2 grid is no slice of one parameter; reading the first coordinate
+    # alone would interpolate it silently.
+    pts = [np.array([complex(a), 0j]) for a in np.linspace(-0.5, 0.5, 5)]
+    est = EnvelopeEstimate(points=pts, values=[0.0] * 5,
+                           witnesses=[None] * 5, diagnostics=[{}] * 5)
+    trial = AnalyticDisc(np.array([[0j, 0j], [0.25 + 0j, 0j]]))
+    with pytest.raises(NotApplicable):
+        check_submean(est, euclidean_space(2), [trial], Q64)
 
 
 def test_check_submean_rejects_offline_disc():

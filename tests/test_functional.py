@@ -73,8 +73,9 @@ def test_decreasing_approximation():
     u5 = decreasing_approximation(u, 5)
     assert (u2.values(pts) >= u5.values(pts)).all()
 
-    with pytest.raises(ValueError):
-        decreasing_approximation(u, -1)
+    for bad in (-1, np.nan):
+        with pytest.raises(ValueError):
+            decreasing_approximation(u, bad)
 
 
 def test_quadrature_spec_validation():

@@ -287,6 +287,23 @@ def test_interp_bilinear_errors():
         interp_bilinear(dom, g, 0.95 + 0.3j)  # touches masked nodes
 
 
+def test_interp_bilinear_takes_the_last_row_and_column():
+    # The last row and column are nodes: points on them read their node
+    # values, while a point past the edge is still refused.
+    dom = grid_domain(33)
+    g = field_on_grid(parse_field("re(z1) + 2 * im(z1)"), dom)
+    assert interp_bilinear(dom, g, 1 + 0j) == g[16, 32]
+    assert interp_bilinear(dom, g, 0.5 + 1j) == g[32, 24]
+    assert interp_bilinear(dom, g, 1 + 1j) == g[32, 32]
+    with pytest.raises(ValueError, match="outside"):
+        interp_bilinear(dom, g, 1 + 1e-9 + 0j)
+    # Inactive nodes are looked for on the cell the interpolation uses,
+    # which on the last row and column is the last cell.
+    g[31, 31] = np.nan
+    with pytest.raises(ValueError, match="inactive"):
+        interp_bilinear(dom, g, 1 + 1j)
+
+
 def test_radial_envelope_identity():
     t = np.linspace(-3.0, 1.0, 41)
     env = radial_envelope(t, t)
