@@ -432,8 +432,6 @@ def disc_to_json(f: AnalyticDisc) -> dict:
 def disc_from_json(obj: dict, space=None) -> AnalyticDisc:
     coeffs = np.array([complex_from_json(row) for row in obj["coeffs"]],
                       dtype=complex)
-    if coeffs.ndim != 2:
-        coeffs = coeffs.reshape(obj["degree"] + 1, obj["width"])
     branch = None
     if obj.get("branch") is not None:
         if space is None:

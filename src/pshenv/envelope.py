@@ -839,61 +839,38 @@ def envelope_grid(
 
 
 class _SliceInterp:
-    """Piecewise-linear interpolation of grid values over one complex slice.
+    """Bilinear interpolation of grid values over one complex slice.
 
-    Full-rank point sets must fill a tensor grid in (re, im), each node
-    once, and are interpolated bilinearly cell by cell with the oracle's
-    rule (``oracle._bilinear``), so -inf values stay -inf.  Collinear sets
-    are interpolated along their line.  Other point sets, and queries
-    outside the grid's rectangle or segment, raise InterpolationOutOfRange.
+    The points must fill a tensor grid in (re, im) of at least 2 x 2 nodes,
+    each node once, and are interpolated cell by cell with the oracle's rule
+    (``oracle._bilinear``), so -inf values stay -inf.  A line of nodes carries
+    no disc but a constant one: on M nodes a disc of degree below M/2 lies on
+    a line only if it is constant.  Other point sets, and queries outside the
+    rectangle, raise InterpolationOutOfRange.
     """
 
     def __init__(self, params, values):
         pts = np.column_stack([np.real(params), np.imag(params)])
-        self.values = np.asarray(values, dtype=float)
-        ctr = pts.mean(axis=0)
-        spread = pts - ctr
-        _, s_svd, vt = np.linalg.svd(spread, full_matrices=False)
-        scale = max(1.0, float(s_svd[0]))
-        if len(s_svd) > 1 and s_svd[1] > 1e-9 * scale:
-            self._line = None
-            self._axes = (np.unique(pts[:, 0]), np.unique(pts[:, 1]))
-            ix, iy = (np.searchsorted(a, c) for a, c in zip(self._axes, pts.T))
-            nx, ny = self._axes[0].size, self._axes[1].size
-            if len(pts) != nx * ny or np.unique(iy * nx + ix).size != nx * ny:
-                raise InterpolationOutOfRange(
-                    f"{len(pts)} slice points do not fill a {nx} x {ny} "
-                    "tensor grid in (re, im) exactly once"
-                )
-            self._grid = np.empty((ny, nx))
-            self._grid[iy, ix] = self.values
-        else:
-            axis = vt[0]
-            coord = spread @ axis
-            order = np.argsort(coord, kind="stable")
-            self._line = (ctr, axis, coord[order], self.values[order])
+        self._axes = (np.unique(pts[:, 0]), np.unique(pts[:, 1]))
+        ix, iy = (np.searchsorted(a, c) for a, c in zip(self._axes, pts.T))
+        nx, ny = self._axes[0].size, self._axes[1].size
+        if (min(nx, ny) < 2 or len(pts) != nx * ny
+                or np.unique(iy * nx + ix).size != nx * ny):
+            raise InterpolationOutOfRange(
+                f"{len(pts)} slice points do not fill a {nx} x {ny} tensor "
+                "grid in (re, im) exactly once, of at least 2 x 2 nodes"
+            )
+        self._grid = np.empty((ny, nx))
+        self._grid[iy, ix] = values
 
     def __call__(self, params):
         params = np.asarray(params, dtype=complex)
-        pts = np.column_stack([np.real(params), np.imag(params)])
-        if self._line is None:
-            frac = []
-            for a, c in zip(self._axes, pts.T):
-                if not (c.min() >= a[0] - 1e-12 and c.max() <= a[-1] + 1e-12):
-                    raise InterpolationOutOfRange(
-                        "trial disc leaves the grid rectangle"
-                    )
-                frac.append(np.interp(c, a, np.arange(a.size)))
-            return _bilinear(self._grid, *frac)
-        ctr, axis, coord, vals = self._line
-        rel = pts - ctr
-        along = rel @ axis
-        off = rel - np.outer(along, axis)
-        if np.max(np.abs(off)) > 1e-9:
-            raise InterpolationOutOfRange("trial disc leaves the grid line")
-        if along.min() < coord[0] - 1e-12 or along.max() > coord[-1] + 1e-12:
-            raise InterpolationOutOfRange("trial disc leaves the grid segment")
-        return np.interp(along, coord, vals)
+        frac = []
+        for a, c in zip(self._axes, (params.real, params.imag)):
+            if not (c.min() >= a[0] - 1e-12 and c.max() <= a[-1] + 1e-12):
+                raise InterpolationOutOfRange("trial disc leaves the grid rectangle")
+            frac.append(np.interp(c, a, np.arange(a.size)))
+        return _bilinear(self._grid, *frac)
 
 
 def check_submean(
@@ -911,9 +888,12 @@ def check_submean(
     value exceeds the averaged boundary by more than tol.  Failures of upper
     semicontinuity show up here through discs crossing the offending point.
     Each branch of a curve, and C^1 as the label None, is a slice of the
-    points' lifts (``_lifts``), interpolated in the disc's parameter.
-    Raises ValueError unless tol is finite and >= 0, and NotApplicable in
-    C^N with N >= 2, whose points are no slice of one parameter.
+    points' lifts (``_lifts``), interpolated in the disc's parameter by a
+    ``_SliceInterp`` built only once a trial disc lies on that branch.
+    Raises ValueError unless tol is finite and >= 0, ValueError for a disc
+    of degree >= q.M (on the M nodes x - x z^M looks constant), and
+    NotApplicable in C^N with N >= 2, whose points are no slice of one
+    parameter.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"submean tol must be finite and >= 0, got {tol!r}")
@@ -925,15 +905,19 @@ def check_submean(
     for p, v in zip(estimate.points, estimate.values):
         for label, t in _lifts(space, p):
             pairs.setdefault(label, []).append((t[0], v))
-    slices = {label: _SliceInterp(*zip(*tv)) for label, tv in pairs.items()}
 
-    reports = []
+    slices, reports = {}, []
     for idx, f in enumerate(trial_discs):
         if space.kind == "curve" and f.branch is None:
             raise ValueError("trial discs on a curve space must carry a branch")
+        if f.degree >= qq.M:
+            raise ValueError(f"trial disc {idx}'s degree {f.degree} must be "
+                             f"below the quadrature's M = {qq.M}")
         label = f.branch.label if f.branch is not None else None
-        if label not in slices:
+        if label not in pairs:
             raise InterpolationOutOfRange(f"no grid values on branch {label!r}")
+        if label not in slices:
+            slices[label] = _SliceInterp(*zip(*pairs[label]))
         terp = slices[label]
         vc = float(terp(np.array([f.coeffs[0, 0]]))[0])
         boundary = terp(boundary_from_coeffs(f.coeffs, qq.M)[:, 0])

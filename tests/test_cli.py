@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pshenv import cli
 from pshenv.disc import disc_from_json
-from pshenv.envelope import SearchBudget, envelope_grid
+from pshenv.envelope import SearchBudget, envelope_at, envelope_grid
 from pshenv.functional import QuadratureSpec, parse_field
 from pshenv.hull import load_certificate
 from pshenv.space import euclidean_space
@@ -411,6 +411,19 @@ def test_readme_config_table_lists_the_schema():
                   for key in re.findall(r"`([^`]+)`", cells[1])}
     assert table == {(name, key) for name, spec in cli._SCHEMA.items()
                      for key in spec.readers}
+
+
+def test_readme_entry_points_name_the_diag_keys():
+    # README's "Library entry points" block names exactly the diagnostics
+    # keys of an envelope_at result, so a key added to or dropped from diag
+    # moves the block with it.
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## Library entry points")[1]
+    block = block.split("```")[1]
+    budget = SearchBudget(degree_schedule=(2,), restarts=1, descent_iters=2)
+    _, _, diag = envelope_at(parse_field("abs2(z1)"), euclidean_space(1),
+                             [0.5], budget, QuadratureSpec(M=16))
+    assert set(re.findall(r'diag\["(\w+)"\]', block)) == set(diag)
 
 
 @pytest.mark.parametrize("old, new, key", [

@@ -308,3 +308,7 @@ def test_disc_json_roundtrip():
     gb = disc_from_json(disc_to_json(fb), space)
     assert gb.branch is branch
     assert np.array_equal(gb.coeffs, fb.coeffs)
+
+    empty = {"degree": 0, "width": 1, "coeffs": []}
+    with pytest.raises(ValueError, match="coefficients must have shape"):
+        disc_from_json(empty)

@@ -559,13 +559,16 @@ def test_slice_interp_matches_interp_bilinear(seed):
     if seed:
         g[rng.random((33, 33)) < 0.1 * seed] = -np.inf
     terp = _SliceInterp(dom.points().ravel(), g.ravel())
-    # Off-node points, points on grid lines, and nodes; the oracle refuses
-    # the last row and column of nodes, so queries stay below them.
+    # Off-node points, points on grid lines, nodes, and the rectangle's
+    # corners and edges.
     lo, hi = dom.x[0], dom.x[-1]
     free = rng.uniform(lo, hi, size=(40, 2))
-    on_x = np.column_stack([rng.choice(dom.x[:-1], 40), rng.uniform(lo, hi, 40)])
-    nodes = rng.choice(dom.x[:-1], size=(40, 2))
-    z = np.concatenate([free, on_x, on_x[:, ::-1], nodes]) @ [1, 1j]
+    on_x = np.column_stack([rng.choice(dom.x, 40), rng.uniform(lo, hi, 40)])
+    nodes = rng.choice(dom.x, size=(40, 2))
+    corners = np.array([[lo, lo], [lo, hi], [hi, lo], [hi, hi]])
+    edge = np.column_stack([rng.choice([lo, hi], 40), rng.uniform(lo, hi, 40)])
+    z = np.concatenate([free, on_x, on_x[:, ::-1], nodes, corners,
+                        edge, edge[:, ::-1]]) @ [1, 1j]
     want = [interp_bilinear(dom, g, zk) for zk in z]
     np.testing.assert_allclose(terp(z), want, rtol=0, atol=1e-12)
 
@@ -581,6 +584,47 @@ def test_slice_interp_refuses_what_is_not_a_tensor_grid():
     terp = _SliceInterp(nodes, np.zeros(25))
     with pytest.raises(InterpolationOutOfRange, match="rectangle"):
         terp(np.array([0.3 + 0.51j]))
+
+
+@pytest.mark.parametrize("w_points", [[0.1 + 0.2j, 0.1 - 0.3j, 0.4j], []],
+                         ids=["scattered", "lone_origin"])
+def test_check_submean_reads_only_the_branches_its_discs_lie_on(w_points):
+    # The origin lifts onto both axes.  Scattered w-axis points make the w
+    # slice no tensor grid, and without them the origin is a lone point
+    # there; a z-axis disc never reads that slice, a w-axis disc does.
+    space = two_axes_space()
+    ticks = np.linspace(-0.5, 0.5, 5)
+    pts = [np.array([complex(a, b), 0j]) for a in ticks for b in ticks]
+    pts += [np.array([0j, w]) for w in w_points]
+    est = EnvelopeEstimate(points=pts, values=[0.0] * len(pts),
+                           witnesses=[None] * len(pts),
+                           diagnostics=[{}] * len(pts))
+    trial = AnalyticDisc(np.array([[0j], [0.25 + 0j]]), space.branch("zaxis"))
+    assert check_submean(est, space, [trial], Q64) == []
+    wtrial = AnalyticDisc(np.array([[0j], [0.25 + 0j]]), space.branch("waxis"))
+    with pytest.raises(InterpolationOutOfRange, match="tensor grid"):
+        check_submean(est, space, [trial, wtrial], Q64)
+
+
+def test_check_submean_refuses_a_line_of_nodes():
+    # A line carries no nonconstant disc of degree below M/2, so a slice
+    # needs 2 x 2 nodes even for the constant disc.
+    pts = [np.array([t * (1 + 1j)]) for t in np.linspace(0.0, 1.0, 9)]
+    est = EnvelopeEstimate(points=pts, values=[0.0] * 9,
+                           witnesses=[None] * 9, diagnostics=[{}] * 9)
+    const = AnalyticDisc(np.array([[0.5 + 0.5j]]))
+    with pytest.raises(InterpolationOutOfRange, match="at least 2 x 2"):
+        check_submean(est, euclidean_space(1), [const], Q64)
+
+
+def test_check_submean_refuses_a_disc_of_degree_m():
+    # On the 64 nodes 0.1 + 0.2 z^64 reads 0.3 everywhere: it would pass
+    # for a constant disc.
+    est = lattice_estimate(lambda z: 1.0 if z == 0 else 0.0)
+    coeffs = np.zeros((65, 1), complex)
+    coeffs[0, 0], coeffs[64, 0] = 0.1, 0.2
+    with pytest.raises(ValueError, match="below the quadrature's M = 64"):
+        check_submean(est, euclidean_space(1), [AnalyticDisc(coeffs)], Q64)
 
 
 def _first_improvement_one_by_one(frame, q, trials, best, btol):
