@@ -47,6 +47,7 @@ __all__ = [
     "unit_roots",
     "circle_powers",
     "stacked_boundaries",
+    "boundary_error_bound",
 ]
 
 DEGREE_CAP = 256
@@ -125,6 +126,36 @@ def stacked_boundaries(coeffs: np.ndarray, M: int, out: np.ndarray) -> np.ndarra
             part = np.empty((int(pick.sum()), coeffs.shape[2], M), dtype=complex)
             out[pick] = branch(c[pick], M, part.transpose(0, 2, 1))
     return out
+
+
+def boundary_error_bound(rows: int, M: int) -> float:
+    """How far a value of ``stacked_boundaries`` may be from exact.
+
+    For a disc of at most ``rows`` rows a_j, each value the routine
+    computes at a node zeta is within ``boundary_error_bound(rows, M) * S``
+    of the exact sum_j a_j zeta^j, S = sum_j |a_j|, on whichever branch the
+    disc takes.  A change to either branch or to _FFT_ROWS must update it.
+    Notation: u = 2^-53, K = rows.
+
+    - The node powers.  ``unit_roots`` rounds the angle 2 pi k / M three
+      times and exp once, so each node is within 21u of exact; numpy
+      raises it to the power j by repeated squaring (j < 100) or by
+      exp(j log z), so ``unit_roots(M)[k] ** j``, each entry of
+      ``circle_powers``, is within 40 j u <= 40 K u of zeta^j.
+    - The product branch, for K < _FFT_ROWS or a disc trimmed below it, is
+      a complex dot of length K with those powers, within sqrt(2)
+      gamma_{K+1} of its exact value: (42 K + 2) u S.
+    - The FFT branch folds rows mod M (at most K u S) and transforms; a
+      radix-2 FFT of length M (a power of two) with accurate twiddles is
+      within 7 u log2(M) of exact in the 2-norm (Higham, Accuracy and
+      Stability, Thm 24.2), and its output has 2-norm <= sqrt(M) S:
+      (8 log2(M) sqrt(M) + K) u S.
+    """
+    u = 2.0**-53
+    product = 42 * rows + 2
+    if rows < _FFT_ROWS:
+        return product * u
+    return max(product, 8 * np.log2(M) * np.sqrt(M) + rows) * u
 
 
 def _matmul_boundaries(coeffs, M, out):

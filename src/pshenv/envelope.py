@@ -26,10 +26,12 @@ from numpy.polynomial import chebyshev as npcheb
 from .disc import (
     AnalyticDisc,
     BoundaryFamily,
+    boundary_error_bound,
     boundary_from_coeffs,
     compose_rh,
     fit_laurent,
     stacked_boundaries,
+    unit_roots,
 )
 from .errors import (
     DomainError,
@@ -145,11 +147,13 @@ class _Frame:
     since no other column can change a value; every column otherwise, as a
     window repair rescales them all and a curve has one.  floor is the
     field's lower bound ``ScalarField.floor``: a disc whose value is at or
-    below it is optimal.  trials counts the discs handed to ``_score_stack``.
+    below it is optimal.  trials counts the discs handed to ``_score_stack``;
+    repairs[k] counts the window repairs that picked _RHO_GRID[k], and its
+    last slot those that fell back to the constant disc.
     """
 
     __slots__ = ("u_eff", "branch", "dim", "constraint", "cols", "floor",
-                 "trials")
+                 "trials", "repairs")
 
     def __init__(self, u: ScalarField, space: SpaceModel, branch=None):
         self.branch = branch
@@ -162,6 +166,7 @@ class _Frame:
             self.cols = list(range(self.dim))
         self.floor = u.floor
         self.trials = 0
+        self.repairs = np.zeros(_RHO_GRID.size + 1, dtype=np.int64)
 
     def fits(self, B):
         """Whether each boundary in B, shape (..., M, dim), is in the window."""
@@ -179,37 +184,41 @@ _NOISE_ULPS = 256.0 * np.finfo(float).eps
 
 # Trial scales for the window repair, largest first.  A fixed grid instead
 # of a bisection: repair only needs a workable rho, not the exact
-# feasibility edge.  The grid is tried in order because most repairs keep
-# one of its first few values: about 5 boundaries per repaired disc on the
-# windowed benchmark workloads, where screening all 14 in one product and
-# rechecking the pick takes 15.
+# feasibility edge.  Each disc computes full boundaries only from its first
+# rho that ``_screen`` cannot rule out at one node, in grid order: about one
+# boundary per repaired disc on the windowed benchmark workloads (4,576 for
+# 4,206 discs in a seed-1 obstacle_cli pass), where trying the grid in
+# order from its top took about 6 (24,949).
 _RHO_GRID = np.array(
     [0.999, 0.99, 0.97, 0.94, 0.9, 0.85, 0.78, 0.7,
      0.6, 0.5, 0.38, 0.25, 0.12, 0.03]
 )
 
 # Boundary samples per stacked pass: a descent stack holds this many trial
-# samples, and a window repair computes at most this many per rho of a batch.
-# 8,192 complex128 samples are 128 KiB, glibc's default mmap threshold; a
-# larger buffer is mapped and page-faulted afresh on every pass, which made
-# 16,384 slower than 8,192 however few calls it saved.
+# samples, and a window repair computes at most this many per pass of a
+# batch.  8,192 complex128 samples are 128 KiB, glibc's default mmap
+# threshold; a larger buffer is mapped and page-faulted afresh on every
+# pass, which made 16,384 slower than 8,192 however few calls it saved.
 _STACK_SAMPLES = 8192
 
 
-def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
+def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None, worst=None):
     """Shrink each disc of a stack into the window: row j is scaled by rho**j.
 
     stack has shape (n, deg+1, dim) and holds discs that leave the window;
     callers test that first.  Reparametrizing by a smaller circle keeps the
     center fixed.  Each disc takes the largest rho of a fixed grid whose
     scaled disc fits on its own boundary, or else the constant disc at the
-    center (rho = 0, feasible for a feasible center).  The grid is tried
-    largest first, each rho only on the discs still unresolved, in
-    consecutive batches of at most _STACK_SAMPLES / (dim * M) discs (at
-    least one), so a large stack does not raise peak memory; each disc's
-    pick is its own, whatever the batch.  Returns the new (n, deg+1, dim)
-    stack; bnds, shape (n, M, dim) with unit stride along M, receives the
-    boundaries of the returned discs when given.
+    center (rho = 0, feasible for a feasible center).  worst, shape
+    (n, dim), names for each disc and coordinate a node to screen the grid
+    at (``_screen``): a rho whose scaled disc is surely outside the window
+    there is never tried on the full boundary.  Without worst, as on a
+    curve, every rho is tried.  The discs go in consecutive batches of at
+    most _STACK_SAMPLES / (dim * M) (at least one), so a large stack does
+    not raise peak memory; each disc's pick is its own, whatever the batch.
+    Returns the new (n, deg+1, dim) stack; bnds, shape (n, M, dim) with unit
+    stride along M, receives the boundaries of the returned discs when
+    given.  ``frame.repairs`` counts the picks.
     """
     n, _, dim = stack.shape
     if bnds is None:
@@ -218,29 +227,94 @@ def _project(frame: _Frame, q: QuadratureSpec, stack, bnds=None):
     out = np.empty(stack.shape, dtype=complex)
     for lo in range(0, n, per):
         out[lo:lo + per] = _project_batch(
-            frame, q.M, stack[lo:lo + per], bnds[lo:lo + per])
+            frame, q.M, stack[lo:lo + per], bnds[lo:lo + per],
+            None if worst is None else worst[lo:lo + per])
     return out
 
 
-def _project_batch(frame, M, stack, bnds):
-    """``_project`` of one batch; bnds receives the returned discs' boundaries."""
+def _project_batch(frame, M, stack, bnds, worst):
+    """``_project`` of one batch; bnds receives the returned discs' boundaries.
+
+    Each pass computes, in one ``stacked_boundaries`` call, every unresolved
+    disc scaled by its own candidate: its first rho not ruled out by the
+    screen, then its next one after each full test it fails, and the
+    constant disc once none is left.  A rho is ruled out only when the full
+    test would reject it, so each disc gets the pick and boundary of trying
+    the whole grid in order, bit for bit.
+    """
     n, rows, dim = stack.shape
+    n_rho = _RHO_GRID.size
+    pows = _RHO_GRID[:, None] ** np.arange(rows)
+    # may_fit[i, k]: rho k may fit disc i; column n_rho, the constant disc,
+    # always does.
+    may_fit = np.ones((n, n_rho + 1), dtype=bool)
+    if worst is not None:
+        may_fit[:, :n_rho] = _screen(frame, M, stack, worst, pows)
     out = np.zeros_like(stack)
     out[:, 0] = stack[:, 0]
+    pick = may_fit.argmax(axis=1)
     left = np.arange(n)
-    for pow_ in _RHO_GRID[:, None] ** np.arange(rows):
-        scaled = stack[left] * pow_[:, None]
+    while left.size:
+        k = pick[left]
+        const = k == n_rho
+        cand = stack[left] * pows[np.minimum(k, n_rho - 1)][:, :, None]
+        cand[const] = out[left[const]]
         bnd = np.empty((left.size, dim, M), dtype=complex).transpose(0, 2, 1)
-        stacked_boundaries(scaled, M, out=bnd)
-        fit = frame.fits(bnd)
-        out[left[fit]] = scaled[fit]
+        stacked_boundaries(cand, M, out=bnd)
+        fit = const | frame.fits(bnd)
+        out[left[fit]] = cand[fit]
         bnds[left[fit]] = bnd[fit]
         left = left[~fit]
-        if not left.size:
-            return out
-    bnd = np.empty((left.size, dim, M), dtype=complex).transpose(0, 2, 1)
-    bnds[left] = stacked_boundaries(out[left], M, out=bnd)
+        later = may_fit[left] & (np.arange(n_rho + 1) > pick[left][:, None])
+        pick[left] = later.argmax(axis=1)
+    frame.repairs += np.bincount(pick, minlength=n_rho + 1)
     return out
+
+
+def _screen(frame, M, stack, worst, pows):
+    """Which rho of the grid may fit each disc: (n, len(_RHO_GRID)) bool.
+
+    Each coordinate l of disc i is evaluated at the node worst[i, l] for
+    every rho in one product, and rho is ruled out (False) when some
+    coordinate's value is outside the window by more than a rounding
+    margin, since then the full test ``_Frame.fits`` rejects it.  A value
+    or margin that is inf or NaN rules nothing out.
+
+    The margin.  Notation: u = 2^-53; for one disc, coordinate and rho,
+    a_j are the K = rows coefficients, S = sum |a_j|, p_j = fl(rho^j) <= 1
+    the row of pows the repair scales by, s_j = fl(a_j p_j) the scaled
+    coefficients (sum |s_j| <= S to first order), zeta the exact node,
+    P_j = ``unit_roots(M)[node] ** j`` the power the screen reads, and
+    g = sum s_j zeta^j; c, r the window's centre and radius and
+    slack = _FEAS_SLACK.
+      - The full boundary b at the node, by ``stacked_boundaries``:
+        |b - g| <= e S, e = ``boundary_error_bound(K, M)``, whose
+        derivation also bounds |P_j - zeta^j| by 40 K u.
+      - The screen's value v = fl(sum_j p_j fl(a_j P_j)): its two complex
+        products (sqrt(2) gamma_2 each) and s_j's rounding put each term
+        within (40 K + 8) u |a_j| of s_j zeta^j, and the sum adds
+        sqrt(2) gamma_K, so |v - g| <= (42 K + 8) u S.
+    Together |b - v| <= E = (e + (42 K + 8) u) S.  The full test rejects
+    when fl(|fl(b - c)|) > fl(r + slack); the subtraction and the modulus
+    (hypot, within an ulp) move |b - c| by at most 3u relatively, and
+    fl(r + slack) <= (r + slack)(1 + u).  The screen rules rho out when
+    d = fl(|fl(v - c)|) > fl(fl(r + slack) + margin), so
+    |b - c| >= d / (1 + 3u) - E, and the full test rejects whenever
+    margin (1 - 8u) >= E + 9u (r + slack).  The margin is twice that right
+    side, which covers second-order terms and its own rounding; underflow's
+    absolute errors stay far below the 9u slack term.
+    """
+    win, u, rows = frame.constraint, 2.0**-53, stack.shape[1]
+    at = (unit_roots(M)[worst][..., None] ** np.arange(rows)).transpose(0, 2, 1)
+    err = boundary_error_bound(rows, M) + (42 * rows + 8) * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = pows @ (stack * at)
+        margin = 2 * (err * np.add.reduce(np.abs(stack), axis=1)
+                      + 9 * u * (win.radii + _FEAS_SLACK))
+        dev = np.abs(vals - win.center)
+        bar = win.radii + _FEAS_SLACK + margin
+        out = np.isfinite(dev) & (dev > bar[:, None, :])
+    return ~out.any(axis=2)
 
 
 def _score_stack(frame, q, trials):
@@ -250,7 +324,8 @@ def _score_stack(frame, q, trials):
     boundaries come out of one ``stacked_boundaries`` call, bit for bit
     those of ``boundary_from_coeffs`` on either of its branches; the trials
     that leave the window are repaired together by one ``_project`` call,
-    which hands back the boundaries it tested each repair on, and all n
+    screened in C^N at each coordinate's node farthest from the window's
+    centre, which hands back the boundaries it tested each repair on, and all n
     boundaries go through the field in one pass.  Returns (coeffs, values,
     thresholds): coeffs[i] is trials[i] itself or its repair, values[i] is
     ``poisson_functional`` of that disc bit for bit, and thresholds[i] is
@@ -271,8 +346,13 @@ def _score_stack(frame, q, trials):
     if frame.constraint is not None:
         out = np.flatnonzero(~frame.fits(stack.transpose(1, 2, 0)))
         if out.size:
+            worst = None
+            if frame.branch is None:
+                dev = np.abs(stack[:, out] - frame.constraint.center[:, None, None])
+                worst = dev.argmax(axis=2).T
             sub = np.empty((frame.dim, out.size, M), dtype=complex)
-            fixed = _project(frame, q, arr[out], bnds=sub.transpose(1, 2, 0))
+            fixed = _project(frame, q, arr[out], bnds=sub.transpose(1, 2, 0),
+                             worst=worst)
             stack[:, out] = sub
             for i, c in zip(out.tolist(), fixed):
                 coeffs[i] = c
@@ -531,7 +611,10 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     move after it with trials made again from the new disc; a stack with no
     win moves the sweep on by k.  A move that does not win leaves the disc
     as it was, so these are the decisions of trying every move in turn.  The
-    step shrinks after a sweep with no accepted move.  The descent stops as
+    step shrinks after a sweep with no accepted move.  A sweep at the step
+    of the one before it, whose last win was move W, ends after move W
+    unless a move wins first: moves W+1 on lost to this very disc at this
+    very step, so they would lose again.  The descent stops as
     soon as the disc's value is at or below ``frame.floor``, the field's
     lower bound (at once for -inf): a trial wins only by beating the value
     by its threshold, at least 256 ulps of its mean |sample|, and the mean
@@ -545,14 +628,16 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     dim, cols = frame.dim, frame.cols
     n_moves = min(stage_degree, coeffs.shape[0] - 1) * len(cols)
     step = _STEP_INIT
+    end = n_moves
     for _ in range(iters):
-        improved = False
+        # Moves from ``tried`` on lost to the disc after the sweep's last win.
+        tried = None
         deltas = np.array(_steps(step))
         n_try = deltas.size
         span = max(dim, _STACK_SAMPLES // (n_try * q.M * dim))
         m = 0
-        while m < n_moves:
-            stop = min(m + span, n_moves)
+        while m < end:
+            stop = min(m + span, end)
             trials = np.repeat(coeffs[None], n_try * (stop - m), axis=0)
             for j, move in enumerate(range(m, stop)):
                 row, col = divmod(move, len(cols))
@@ -564,9 +649,12 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
             i, coeffs, best, btol = win
             if best <= frame.floor:
                 return coeffs, best, btol
-            improved = True
             m += i // n_try + 1
-        if not improved:
+            end, tried = n_moves, m
+        if tried is not None:
+            end = tried
+        else:
+            end = n_moves
             step *= _STEP_SHRINK
             if step < 1e-10:
                 break
@@ -767,7 +855,9 @@ def envelope_at(
     the top degree of the schedule is not below q.M: on the M nodes
     z^M = 1, so a disc such as x - x z^M would look constant there and its
     node mean would say nothing about its Poisson integral.  diag["trials"]
-    counts the trial discs the search scored, summed over the lifts.
+    counts the trial discs the search scored, and diag["repairs"] the
+    window repairs that picked each rho of _RHO_GRID, then the constant
+    disc, both summed over the lifts.
     diag["floor"] is ``u.floor``: no disc's node mean is below it beyond
     rounding, so value - floor bounds the distance to the best disc, and a
     value at or below floor is optimal.
@@ -786,17 +876,19 @@ def envelope_at(
             raise PointOutsideWindow(f"point {x} lies outside the window")
     key = (b.seed, int(point_index))
     lifts = _lifts(space, x)
-    best, trials = None, 0
+    best, trials, repairs = None, 0, 0
     for label, t in lifts:
         branch = None if label is None else space.branch(label)
         frame = _Frame(u, space, branch)
         v, c, diag = _search_core(frame, qq, b, t, key)
         trials += frame.trials
+        repairs = repairs + frame.repairs
         if best is None or v < best[0]:
             diag["branch"] = label
             diag["lifts"] = [lb for lb, _ in lifts]
             best = (v, AnalyticDisc(c, branch), diag)
     best[2]["trials"] = trials
+    best[2]["repairs"] = repairs.tolist()
     best[2]["floor"] = u.floor
     return best
 

@@ -268,9 +268,12 @@ class BallIndicator(FieldNode):
     def ev(self, pts):
         _check_width(pts, len(self.center), "ball")
         c = np.asarray(self.center, dtype=complex)
-        # A huge distance squares to inf, which is outside the ball.
+        # A huge distance squares to inf, which is outside the ball.  The
+        # squares are added one coordinate at a time, in order.
         with np.errstate(over="ignore"):
-            d2 = np.sum(np.abs(pts[:, : c.size] - c) ** 2, axis=1)
+            d2 = np.abs(pts[:, 0] - c[0]) ** 2
+            for j in range(1, c.size):
+                d2 += np.abs(pts[:, j] - c[j]) ** 2
         return (d2 < self.radius * self.radius).astype(float)
 
 

@@ -19,6 +19,7 @@ from pshenv import disc
 from pshenv.disc import (
     DEGREE_CAP,
     AnalyticDisc,
+    boundary_error_bound,
     boundary_from_coeffs,
     stacked_boundaries,
 )
@@ -118,6 +119,28 @@ def test_both_branches_match_eval_at_the_nodes(M):
                 want = AnalyticDisc(c[k]).eval(nodes)
                 bound = (32 + 2 * degree) * EPS * np.abs(c[k]).sum(axis=0)
                 assert np.all(np.abs(got[k] - want) <= bound), (degree, branch)
+
+
+@pytest.mark.parametrize("M", [16, 64, 512])
+def test_boundary_error_bound_holds_on_both_branches(M):
+    # Against Horner's rule in extended precision at the exact nodes, for
+    # every stack size up to DEGREE_CAP + 1 rows, a disc trimmed to the
+    # product branch inside an FFT-sized stack included: the window
+    # repair's screen relies on this bound being sound.
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs an extended-precision long double")
+    rng = np.random.default_rng(M)
+    nodes = np.exp(2j * np.pi * np.arange(M, dtype=np.longdouble) / M)
+    for rows in range(1, DEGREE_CAP + 2, 5):
+        c = rng.normal(size=(2, rows, 2)) + 1j * rng.normal(size=(2, rows, 2))
+        c[1, FFT_DEGREE:] = 0.0
+        out = np.empty((2, 2, M), dtype=complex).transpose(0, 2, 1)
+        got = stacked_boundaries(c, M, out)
+        want = np.zeros((2, M, 2), dtype=np.clongdouble)
+        for j in range(rows - 1, -1, -1):
+            want = want * nodes[None, :, None] + c[:, j][:, None, :]
+        bound = boundary_error_bound(rows, M) * np.abs(c).sum(axis=1)
+        assert np.all(np.abs(got - want) <= bound[:, None, :]), rows
 
 
 def test_no_powers_matrix_is_built_for_fft_sized_discs(monkeypatch):

@@ -49,7 +49,7 @@ from pshenv.functional import (
     poisson_functional,
 )
 from pshenv.oracle import field_on_grid, grid_domain, interp_bilinear
-from pshenv.space import BranchMap, curve_space, euclidean_space
+from pshenv.space import BranchMap, curve_space, euclidean_space, polydisc
 
 SMALL = SearchBudget(degree_schedule=(2,), restarts=2, descent_iters=5, seed=1)
 Q64 = QuadratureSpec(M=64)
@@ -800,16 +800,14 @@ def test_glue_round_children_sit_on_checked_points():
 
 
 def _project_one(frame, q, coeffs):
-    # The single-disc projection the stacked _project replaced.
+    # The single-disc projection the stacked _project replaced: the grid
+    # tried largest first, each scaled disc on its own boundary.
     if frame.fits(boundary_from_coeffs(coeffs, q.M)):
         return coeffs
-    deg = coeffs.shape[0] - 1
-    pow_ = _RHO_GRID[:, None] ** np.arange(deg + 1)[None, :]
-    scaled = coeffs[None, :, :] * pow_[:, :, None]
-    bnds = np.tensordot(scaled, circle_powers(q.M, deg), axes=([1], [0]))
-    fit = np.flatnonzero(frame.fits(bnds.transpose(0, 2, 1)))
-    if fit.size:
-        return scaled[fit[0]]
+    for pow_ in _RHO_GRID[:, None] ** np.arange(coeffs.shape[0]):
+        scaled = coeffs * pow_[:, None]
+        if frame.fits(boundary_from_coeffs(scaled, q.M)):
+            return scaled
     out = np.zeros_like(coeffs)
     out[0] = coeffs[0]
     return out
@@ -934,6 +932,80 @@ def _serial_descent(frame, q, state, cols, n_rows, iters):
             if step < 1e-10:
                 break
     return coeffs, best, btol
+
+
+def _descend_full_sweeps(frame, q, coeffs, stage_degree, iters):
+    # The descent before a sweep could end at the last win of the sweep
+    # before it: every sweep tries every move.
+    coeffs, best, btol = _score(frame, q, coeffs)
+    if best <= frame.floor or iters <= 0:
+        return coeffs, best, btol
+    dim, cols = frame.dim, frame.cols
+    n_moves = min(stage_degree, coeffs.shape[0] - 1) * len(cols)
+    step = _STEP_INIT
+    for _ in range(iters):
+        improved = False
+        deltas = np.array(_steps(step))
+        n_try = deltas.size
+        span = max(dim, _STACK_SAMPLES // (n_try * q.M * dim))
+        m = 0
+        while m < n_moves:
+            stop = min(m + span, n_moves)
+            trials = np.repeat(coeffs[None], n_try * (stop - m), axis=0)
+            for j, move in enumerate(range(m, stop)):
+                row, col = divmod(move, len(cols))
+                trials[j * n_try:(j + 1) * n_try, row + 1, cols[col]] += deltas
+            win = _first_improvement(frame, q, trials, best, btol)
+            if win is None:
+                m = stop
+                continue
+            i, coeffs, best, btol = win
+            if best <= frame.floor:
+                return coeffs, best, btol
+            improved = True
+            m += i // n_try + 1
+        if not improved:
+            step *= _STEP_SHRINK
+            if step < 1e-10:
+                break
+    return coeffs, best, btol
+
+
+def _against_full_sweeps(u, space, x, b, q):
+    v, w, d = envelope_at(u, space, x, b, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_descend", _descend_full_sweeps)
+        v0, w0, d0 = envelope_at(u, space, x, b, q)
+    assert _search_bits(v, w, d) == _search_bits(v0, w0, d0)
+    assert d["trials"] <= d0["trials"]
+    return d["trials"], d0["trials"]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(g=_Z1_FIELDS | _floored_fields(_C1_LEAVES),
+       x=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+       window=st.booleans(), seed=st.integers(0, 3))
+def test_sweeps_skip_only_moves_that_lost_to_the_same_disc(g, x, window, seed):
+    # A sweep at the step of the sweep before it ends after that sweep's
+    # last win unless a move wins first: value, witness, stages, rounds and
+    # glue rounds keep the bits of full sweeps, with and without a window,
+    # and no more trials are scored.
+    space = euclidean_space(1, radii=1.0) if window else euclidean_space(1)
+    b = SearchBudget(degree_schedule=(2, 6), restarts=2, descent_iters=6,
+                     seed=seed)
+    _against_full_sweeps(parse_field(g), space, [complex(*x)], b, Q64)
+
+
+def test_sweep_after_a_win_skips_the_moves_that_lost_to_it():
+    # The random restarts descend toward the constant disc, the minimizer
+    # of this subharmonic field: sweeps that win are followed by sweeps at
+    # the same step, which now stop after the last winning move.
+    b = SearchBudget(degree_schedule=(2, 6), restarts=2, descent_iters=6,
+                     seed=1)
+    trials, full = _against_full_sweeps(parse_field("abs2(z1 - 0.5)"),
+                                        euclidean_space(1, radii=1.0),
+                                        [0.3], b, Q64)
+    assert trials < full
 
 
 @pytest.mark.parametrize("text, space, center", [
@@ -1075,9 +1147,11 @@ def _counting_boundaries(monkeypatch, M):
 
 def test_repair_computes_one_boundary_per_rho_tried(monkeypatch):
     # A C^1 disc centred in the unit window with |f'(0)| = a fits at rho
-    # exactly when rho * a <= 1: a repair that picks grid index k computes
-    # the boundaries of rho_0, ..., rho_k and no other; a disc that no rho
-    # fits computes all fourteen and the constant disc's.
+    # exactly when rho * a <= 1, and |f| is the same at every node, so the
+    # screen at node 0 rules out rho_0, ..., rho_(k-1) and a repair that
+    # picks grid index k computes that one boundary.  The disc 0.99 + 10 z
+    # is farthest out at node 0 for every rho: all fourteen are ruled out
+    # and only the constant disc's boundary is computed.
     q = QuadratureSpec(M=128)
     frame = _Frame(parse_field("0"), euclidean_space(1, [0j], [1.0]))
     counted = _counting_boundaries(monkeypatch, q.M)
@@ -1087,13 +1161,12 @@ def test_repair_computes_one_boundary_per_rho_tried(monkeypatch):
         disc = np.zeros((1, 4, 1), dtype=complex)
         disc[0, 0], disc[0, 1] = c0, a
         counted.clear()
-        got = _project(frame, q, disc)[0]
+        got = _project(frame, q, disc, worst=np.zeros((1, 1), dtype=int))[0]
         if k < 0:
             assert np.array_equal(got, [[c0], [0], [0], [0]])
-            assert sum(counted) == _RHO_GRID.size + 1
         else:
             assert _same_bits(got, disc[0] * pow_[k][:, None])
-            assert sum(counted) == k + 1
+        assert sum(counted) == 1
 
 
 @pytest.mark.parametrize("dim, n", [(1, 150), (2, 80)])
@@ -1130,6 +1203,101 @@ def test_project_across_batches_matches_single_disc_repair(monkeypatch, dim, n):
         picked.add(hit[0] if hit else -1)
     # Several rho values of the grid and the constant-disc fallback occur.
     assert -1 in picked and len(picked) >= 4
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2]),
+       degree=st.sampled_from([1, 3, 8, 16, 23, 24, 32, 63]),
+       m=st.sampled_from([64, 128]),
+       scale=st.sampled_from([0.1, 0.5, 2.0, 40.0, 1e150]),
+       edge=st.sampled_from([None, 0, 1]),
+       nodes=st.sampled_from(["worst", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_screened_repair_matches_single_disc_repair(dim, degree, m, scale, edge,
+                                                    nodes, seed):
+    # Whatever node each coordinate is screened at, a repair keeps the pick
+    # and boundary of trying every rho in turn, bit for bit: on both
+    # boundary branches (degree 24 up takes the FFT), with coefficients up
+    # to 1e150, and on discs whose rho = 0.999 candidate sits at the
+    # window's slack edge in either coordinate of C^2.
+    rng = np.random.default_rng(seed)
+    q = QuadratureSpec(M=m)
+    if edge is None:
+        space = euclidean_space(dim, [0j, 0.1j][:dim], [1.0, 0.5][:dim])
+    else:
+        space = euclidean_space(dim, [0j] * dim, [1.0] * dim)
+    win = space.domain_constraint
+    frame = _Frame(parse_field("0"), space)
+    n = int(rng.integers(1, 6))
+    stack = (rng.normal(size=(n, degree + 1, dim))
+             + 1j * rng.normal(size=(n, degree + 1, dim))) * scale
+    stack[:, 0] = win.center + 0.9 * (rng.random((n, dim)) - 0.5) * win.radii
+    if edge is not None and edge < dim:
+        g = rng.normal(size=(degree + 1, 1)) + 1j * rng.normal(size=(degree + 1, 1))
+        stack[0] = 0
+        stack[0, 0] = 0.1 * (rng.random(dim) - 0.5)
+        stack[0, :, edge] = _at_the_slack_edge(stack[0, 0, edge], g, m)[:, 0]
+    unscaled = np.stack([boundary_from_coeffs(c, m) for c in stack])
+    out = ~frame.fits(unscaled)
+    assume(out.any())
+    stack, unscaled = stack[out], unscaled[out]
+    if nodes == "worst":
+        worst = np.abs(unscaled - win.center).argmax(axis=1)
+    else:
+        worst = rng.integers(0, m, size=(len(stack), dim))
+    bnds = np.empty((dim, len(stack), m), dtype=complex).transpose(1, 2, 0)
+    got = _project(frame, q, stack, bnds=bnds, worst=worst)
+    for g, c, bnd in zip(got, stack, bnds):
+        want = _project_one(frame, q, c)
+        assert _same_bits(g, want)
+        assert _same_bits(bnd, boundary_from_coeffs(want, m))
+
+
+def test_screen_rules_nothing_out_at_a_non_finite_value():
+    # An inf or NaN coefficient makes the node value or the margin inf or
+    # NaN, and leaves every rho open; 5 z is ruled out exactly where
+    # 5 rho > 1.
+    frame = _Frame(parse_field("0"), euclidean_space(1, [0j], [1.0]))
+    stack = np.zeros((4, 3, 1), dtype=complex)
+    stack[0, 1:] = 1e308
+    stack[1, 1] = np.inf
+    stack[2, 2] = complex(np.nan, 0.0)
+    stack[3, 1] = 5.0
+    pows = _RHO_GRID[:, None] ** np.arange(3)
+    may_fit = envelope._screen(frame, 64, stack, np.zeros((4, 1), dtype=int),
+                               pows)
+    assert may_fit[:3].all()
+    assert np.array_equal(may_fit[3], 5.0 * _RHO_GRID <= 1.0)
+
+
+@pytest.mark.parametrize("space, u, x", [
+    (euclidean_space(1, [0j], [1.0]), "-indicator(ball(0, 0; 0.25))", [0.5]),
+    (euclidean_space(2, [0j, 0.1j], [1.0, 0.5]),
+     "-indicator(ball(0.5, 0, 0, 0; 0.25))", [0.3, 0.2j]),
+    (curve_space(two_axes_space().branches, polydisc(2, 1.0)),
+     "-indicator(ball(0.5, 0, 0, 0; 0.25))", [0.0, 0.0]),
+])
+def test_repairs_count_every_pick_of_every_lift(monkeypatch, space, u, x):
+    # diag["repairs"][k] is the number of repairs that picked _RHO_GRID[k],
+    # the last slot the constant-disc fallbacks, over every lift.
+    picks = []
+    real = envelope._project
+
+    def recording(frame, q, stack, bnds=None, worst=None):
+        got = real(frame, q, stack, bnds=bnds, worst=worst)
+        pow_ = _RHO_GRID[:, None] ** np.arange(stack.shape[1])
+        for g, c in zip(got, stack):
+            hit = [k for k in range(_RHO_GRID.size)
+                   if np.array_equal(g, c * pow_[k][:, None])]
+            picks.append(hit[0] if hit else _RHO_GRID.size)
+        return got
+
+    monkeypatch.setattr(envelope, "_project", recording)
+    _, _, diag = envelope_at(parse_field(u), space, x, SMALL, Q64)
+    assert len(diag["lifts"]) == (2 if space.kind == "curve" else 1)
+    assert diag["repairs"] == np.bincount(
+        picks, minlength=_RHO_GRID.size + 1).tolist()
+    assert sum(diag["repairs"]) > 0
 
 
 # The two seed scans a stage ran before they merged into _best_seed, kept as

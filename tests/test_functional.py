@@ -284,3 +284,29 @@ def test_value_ranges_of_each_node_kind(node, span):
     assert node.value_range == span
     if node.is_real:
         assert ScalarField(node).floor == span[0]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_ball_indicator_keeps_the_summed_squares_bits(width):
+    # The ball adds |p_j - c_j|^2 one coordinate at a time: its values are
+    # those of the summed expression at every point, including +-inf, NaN
+    # and components whose squares overflow near 1e154, and at radii equal
+    # to the points' own distances.
+    rng = np.random.default_rng(31 + width)
+    special = [np.inf, -np.inf, np.nan, 1e154, -1.3e154, 1.5e154, 0.0, -0.0]
+    re = np.concatenate([rng.normal(size=(200, width)),
+                         rng.choice(special, (200, width))])
+    im = np.concatenate([rng.choice(special, (200, width)),
+                         rng.normal(size=(200, width))])
+    pts = np.empty((400, width), dtype=complex)
+    pts.real, pts.imag = re, im
+    pts[::7] = rng.normal(size=(len(pts[::7]), width)) * 0.3 + 0.1j
+    c = (0.1 - 0.2j, -0.3 + 0.05j, 0.7j, -1.1)[:width]
+    with np.errstate(over="ignore", invalid="ignore"):
+        summed = np.sum(np.abs(pts - np.array(c)) ** 2, axis=1)
+    finite = np.sqrt(summed[np.isfinite(summed) & (summed > 0)])
+    for r in np.concatenate([[1e-3, 0.5, 2.0, 1e154], finite[:20]]):
+        ball = BallIndicator(c, float(r))
+        with np.errstate(over="ignore"):
+            want = (summed < float(r) * float(r)).astype(float)
+        assert np.array_equal(ball.ev(pts), want)
