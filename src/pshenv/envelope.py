@@ -147,13 +147,18 @@ class _Frame:
     since no other column can change a value; every column otherwise, as a
     window repair rescales them all and a curve has one.  floor is the
     field's lower bound ``ScalarField.floor``: a disc whose value is at or
-    below it is optimal.  trials counts the discs handed to ``_score_stack``;
-    repairs[k] counts the window repairs that picked _RHO_GRID[k], and its
-    last slot those that fell back to the constant disc.
+    below it is optimal.  screens says whether the descent skips the trials
+    that keep their incumbent's samples (``_room``): only in C^N, for a
+    field whose leaves are constants and indicators
+    (``ScalarField.piecewise_constant``); a pushed-forward field is not one.
+    trials counts the discs handed to ``_score_stack``, steady the descent
+    trials skipped instead; repairs[k] counts the window repairs that
+    picked _RHO_GRID[k], and its last slot those that fell back to the
+    constant disc.
     """
 
     __slots__ = ("u_eff", "branch", "dim", "constraint", "cols", "floor",
-                 "trials", "repairs")
+                 "screens", "trials", "steady", "repairs")
 
     def __init__(self, u: ScalarField, space: SpaceModel, branch=None):
         self.branch = branch
@@ -165,7 +170,9 @@ class _Frame:
         else:
             self.cols = list(range(self.dim))
         self.floor = u.floor
+        self.screens = self.u_eff.piecewise_constant
         self.trials = 0
+        self.steady = 0
         self.repairs = np.zeros(_RHO_GRID.size + 1, dtype=np.int64)
 
     def fits(self, B):
@@ -589,6 +596,65 @@ def _first_improvement(frame, q, trials, best, btol):
     return i, coeffs[i], float(values[i]), float(tols[i])
 
 
+def _room(frame, M, coeffs):
+    """Per column, the step below which a descent trial keeps the
+    incumbent's samples bit for bit: an array of shape (dim,).
+
+    A trial adds delta, |delta| = mag, to one coefficient a of column c
+    (rows >= 1), as ``_descend`` makes it, so a' = fl(a + delta) moves
+    one part of a by mag, and |a' - a| <= d = mag (1 + u) + u A, A the
+    column's largest |a_j| (u = 2^-53).  With e = ``boundary_error_bound``
+    for the disc's K rows and S_l = sum_j |a_jl|, every value
+    ``stacked_boundaries`` computes is within e S of exact, on either of its
+    branches; so at each node column c of the trial is within
+    d + e (S_c + S_c') <= d (1 + e) + 2 e S_c of the incumbent's
+    (|zeta^j| = 1, S_c' <= S_c + d), and every other column l within
+    2 e S_l, which covers a trial that moves the disc to the other branch.
+    The node moves by at most the sum, in the euclidean norm of C^N.
+
+    The trial is steady when that sum is below reach, the least field slack
+    (``ScalarField.slack``) over the incumbent's nodes, and each column's
+    move is below clear_l, its clearance to the window wall: every node
+    keeps its field value, so the samples are the incumbent's, and the
+    trial passes ``_Frame.fits``, so it is not repaired.  Its value is the
+    incumbent's, and it cannot win.  The nodes are those of
+    ``stacked_boundaries`` on the incumbent alone, which are the bits its
+    samples were taken at, as a disc gets the same bits in any stack.
+    The wall: ``fits`` passes a node when fl(|fl(b - w)|) <= W =
+    fl(r + _FEAS_SLACK), w the window's centre; the subtraction and hypot
+    put the computed modulus within 4u of |b - w|, so a node moved by m
+    passes when (dev (1 + 5u) + m)(1 + 4u) <= W, dev the modulus computed
+    at b, and clear_l = min over nodes of W (1 - 8u) - dev (1 + 8u) is
+    below that by more than its own rounding (+inf without a window).
+
+    Solving for mag gives the returned bound: a trial of magnitude below
+    it in column c is steady.  S, A and sum S are raised and the limits
+    lowered by g = 2^-40, which covers the rounding of each sum (K < 2^12
+    terms) and of every step after it.  If some column's 2 e S_l does not
+    clear its wall, no trial is steady.
+    """
+    u, g = 2.0**-53, 2.0**-40
+    bnd = np.empty((1, frame.dim, M), dtype=complex).transpose(0, 2, 1)
+    b = stacked_boundaries(coeffs[None], M, out=bnd)[0]
+    reach = float(frame.u_eff.slack(b).min())
+    clear = np.full(frame.dim, np.inf)
+    if frame.constraint is not None:
+        win = frame.constraint
+        wall = (win.radii + _FEAS_SLACK) * (1 - 8 * u)
+        clear = np.min(wall - np.abs(b - win.center) * (1 + 8 * u), axis=0)
+    e = boundary_error_bound(coeffs.shape[0], M)
+    mod = np.abs(coeffs)
+    S = np.add.reduce(mod, axis=0) * (1 + g)
+    A = mod.max(axis=0) * (1 + g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.all(2 * e * S < clear):
+            return np.zeros(frame.dim)
+        limit = np.minimum(reach - 2 * e * S.sum() * (1 + g), clear) * (1 - g)
+        mag = ((limit - (u * A + 2 * e * S) * (1 + e) * (1 + g))
+               / ((1 + u) * (1 + e)) * (1 - g))
+    return np.where(mag > 0, mag, 0.0)  # 0 for NaN too
+
+
 def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     """First-improvement descent over rows 1..stage_degree.
 
@@ -606,15 +672,22 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     k = max(dim, _STACK_SAMPLES // (8 * M * dim)), form one stack that
     ``_first_improvement`` decides together, repairing those that leave the
     window by ``_project`` (row scaling, center row untouched); a stack may
-    span several rows.  The first win, repaired or not, is the new disc and
-    makes the later trials of its stack stale, so the sweep goes on from the
-    move after it with trials made again from the new disc; a stack with no
-    win moves the sweep on by k.  A move that does not win leaves the disc
-    as it was, so these are the decisions of trying every move in turn.  The
-    step shrinks after a sweep with no accepted move.  A sweep at the step
-    of the one before it, whose last win was move W, ends after move W
-    unless a move wins first: moves W+1 on lost to this very disc at this
-    very step, so they would lose again.  The descent stops as
+    span several rows.  When ``frame.screens``, each incumbent (the start
+    disc and every win) gets its ``_room``, and a stack leaves out the
+    trials whose step is below their column's room: they keep the
+    incumbent's samples bit for bit, so they would score the incumbent's
+    value and lose, and cannot raise DomainError, since the incumbent's
+    samples did not.  A stack with no trial left is never built, so a sweep
+    whose every trial is steady is a sweep with no win; ``frame.steady``
+    counts the trials left out.  The first win, repaired or not, is the new
+    disc and makes the later trials of its stack stale, so the sweep goes on
+    from the move after it with trials made again from the new disc; a
+    stack with no win moves the sweep on by k.  A move that does not win
+    leaves the disc as it was, so these are the decisions of trying every
+    move in turn.  The step shrinks after a sweep with no accepted move.  A
+    sweep at the step of the one before it, whose last win was move W, ends
+    after move W unless a move wins first: moves W+1 on lost to this very
+    disc at this very step, so they would lose again.  The descent stops as
     soon as the disc's value is at or below ``frame.floor``, the field's
     lower bound (at once for -inf): a trial wins only by beating the value
     by its threshold, at least 256 ulps of its mean |sample|, and the mean
@@ -627,6 +700,10 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
         return coeffs, best, btol
     dim, cols = frame.dim, frame.cols
     n_moves = min(stage_degree, coeffs.shape[0] - 1) * len(cols)
+    if frame.screens:
+        # The step below which each move's trials are steady.
+        col_at = np.asarray(cols, dtype=np.intp)[np.arange(n_moves) % len(cols)]
+        room = _room(frame, q.M, coeffs)[col_at]
     step = _STEP_INIT
     end = n_moves
     for _ in range(iters):
@@ -635,13 +712,23 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
         deltas = np.array(_steps(step))
         n_try = deltas.size
         span = max(dim, _STACK_SAMPLES // (n_try * q.M * dim))
+        # The stack's trials to score, by index; None scores them all.
+        pick = None
         m = 0
         while m < end:
             stop = min(m + span, end)
+            if frame.screens:
+                pick = np.flatnonzero(np.abs(deltas) >= room[m:stop, None])
+                frame.steady += n_try * (stop - m) - pick.size
+                if not pick.size:
+                    m = stop
+                    continue
             trials = np.repeat(coeffs[None], n_try * (stop - m), axis=0)
             for j, move in enumerate(range(m, stop)):
                 row, col = divmod(move, len(cols))
                 trials[j * n_try:(j + 1) * n_try, row + 1, cols[col]] += deltas
+            if pick is not None:
+                trials = trials[pick]
             win = _first_improvement(frame, q, trials, best, btol)
             if win is None:
                 m = stop
@@ -649,8 +736,10 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
             i, coeffs, best, btol = win
             if best <= frame.floor:
                 return coeffs, best, btol
-            m += i // n_try + 1
+            m += (i if pick is None else int(pick[i])) // n_try + 1
             end, tried = n_moves, m
+            if frame.screens:
+                room = _room(frame, q.M, coeffs)[col_at]
         if tried is not None:
             end = tried
         else:
@@ -855,9 +944,11 @@ def envelope_at(
     the top degree of the schedule is not below q.M: on the M nodes
     z^M = 1, so a disc such as x - x z^M would look constant there and its
     node mean would say nothing about its Poisson integral.  diag["trials"]
-    counts the trial discs the search scored, and diag["repairs"] the
-    window repairs that picked each rho of _RHO_GRID, then the constant
-    disc, both summed over the lifts.
+    counts the trial discs the search scored, diag["steady"] the descent
+    trials it left out because they keep their incumbent's samples bit for
+    bit (``_room``), and diag["repairs"] the window repairs that picked
+    each rho of _RHO_GRID, then the constant disc, all summed over the
+    lifts.
     diag["floor"] is ``u.floor``: no disc's node mean is below it beyond
     rounding, so value - floor bounds the distance to the best disc, and a
     value at or below floor is optimal.
@@ -876,18 +967,20 @@ def envelope_at(
             raise PointOutsideWindow(f"point {x} lies outside the window")
     key = (b.seed, int(point_index))
     lifts = _lifts(space, x)
-    best, trials, repairs = None, 0, 0
+    best, trials, steady, repairs = None, 0, 0, 0
     for label, t in lifts:
         branch = None if label is None else space.branch(label)
         frame = _Frame(u, space, branch)
         v, c, diag = _search_core(frame, qq, b, t, key)
         trials += frame.trials
+        steady += frame.steady
         repairs = repairs + frame.repairs
         if best is None or v < best[0]:
             diag["branch"] = label
             diag["lifts"] = [lb for lb, _ in lifts]
             best = (v, AnalyticDisc(c, branch), diag)
     best[2]["trials"] = trials
+    best[2]["steady"] = steady
     best[2]["repairs"] = repairs.tolist()
     best[2]["floor"] = u.floor
     return best

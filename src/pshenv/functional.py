@@ -15,7 +15,13 @@ search moves no coefficient a field cannot see and a field that reads a
 coordinate the points lack is refused before it is evaluated.  Every node
 also gives a float range (lo, hi) that holds all its values
 (``value_range``), so the search can stop at a disc whose mean reaches the
-field's lower bound.
+field's lower bound, and a per-point slack (``slack``): how far a point may
+move, in the euclidean norm of C^N, before the node's computed value can
+change.  A constant never changes and an indicator only where a point
+crosses its set's edge, so a field built from those alone
+(``ScalarField.piecewise_constant``) lets the search skip a trial that
+moves no boundary node by its slack: the trial's samples are its
+incumbent's, bit for bit.
 
 Values live in R union {-inf}: log 0 is -inf (nonpositive arguments fold
 into the same convention), -inf + finite is -inf, min/max propagate it,
@@ -55,6 +61,11 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # The range of a node that bounds nothing.
 _ANY = (-np.inf, np.inf)
+_U = 2.0**-53
+# The range in which _edge_slack is derived: an edge between these, a
+# distance at most 2 * _SLACK_MAX.
+_SLACK_MIN_EDGE = 2.0**-480
+_SLACK_MAX = 2.0**500
 
 
 class FieldNode:
@@ -65,15 +76,25 @@ class FieldNode:
     # Floats (lo, hi) with lo <= v <= hi for every value v the node takes;
     # (-inf, inf) for node kinds that do not say, and for complex nodes.
     value_range = _ANY
+    # Whether the node is a constant or an indicator, or an operator over
+    # such nodes: constant off the edges its slack measures the way to.
+    piecewise_constant = False
 
     def ev(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def slack(self, pts):
+        """Per point of pts, shape (M, N), a float s >= 0 such that ev gives
+        the same bits at every point within s of it (euclidean norm in
+        C^N); 0 for node kinds that do not say."""
+        return np.zeros(pts.shape[0])
 
 
 @dataclass(frozen=True)
 class Const(FieldNode):
     value: float
     reads = frozenset()
+    piecewise_constant = True
 
     @property
     def value_range(self):
@@ -81,6 +102,9 @@ class Const(FieldNode):
 
     def ev(self, pts):
         return np.full(pts.shape[0], float(self.value))
+
+    def slack(self, pts):
+        return np.full(pts.shape[0], np.inf)
 
 
 @dataclass(frozen=True)
@@ -241,8 +265,16 @@ class Op(FieldNode):
     def value_range(self):
         return _OPS[self.name].span(*(a.value_range for a in self.args))
 
+    @property
+    def piecewise_constant(self):
+        return all(a.piecewise_constant for a in self.args)
+
     def ev(self, pts):
         return _OPS[self.name].fn(pts, *self.args)
+
+    def slack(self, pts):
+        # The operator's value is a function of its arguments' values alone.
+        return reduce(np.minimum, (a.slack(pts) for a in self.args))
 
 
 def _check_width(pts, width: int, what: str):
@@ -253,6 +285,35 @@ def _check_width(pts, width: int, what: str):
         )
 
 
+def _edge_slack(dist, edge: float, N: int, extra: float = 0.0):
+    """How far each point may move before a strict test "its distance is
+    below edge" can change: |dist - edge| - 4 eps (dist + edge + extra),
+    eps = (N + 12) u, u = 2^-53, and 0 where that is not positive.
+
+    dist holds the computed values, at points p of C^N, of a distance D
+    that is 1-Lipschitz in the point.  The caller derives, for every point
+    q with D(q) <= 2^502 and edge and extra in the range below, that its
+    computed D(q) is within eps (D(q) + edge + extra) of D(q), and that its
+    test says "inside" where D(q) + eps (D(q) + edge + extra) < edge and
+    "outside" where D(q) - eps (D(q) + edge + extra) >= edge.  A point q
+    with |q - p| <= s has |D(q) - D(p)| <= s.  Write T = dist + edge +
+    extra.  If dist < edge, then D(q) <= edge - 3 eps T to first order,
+    and the inside condition, whose left side grows with D(q), holds with
+    eps T to spare; if dist >= edge, then D(q) >= edge + 3 eps T and the
+    outside condition holds with as much to spare.  That spare covers
+    second-order terms and the rounding of s.  A point so near the edge
+    that rounding may decide it gets 0.  The range: edge in [2^-480,
+    2^500], extra in [0, 2^500] and dist at most 2^501, so that s <= 2^501
+    and D(q) <= 2^502.  Elsewhere, and where dist is NaN, the slack is 0.
+    """
+    if not (_SLACK_MIN_EDGE <= edge <= _SLACK_MAX and 0 <= extra <= _SLACK_MAX):
+        return np.zeros(np.shape(dist))
+    with np.errstate(invalid="ignore"):
+        s = np.abs(dist - edge) - 4 * (N + 12) * _U * (dist + edge + extra)
+        ok = (dist <= 2 * _SLACK_MAX) & (s > 0)
+    return np.where(ok, s, 0.0)
+
+
 @dataclass(frozen=True)
 class BallIndicator(FieldNode):
     """Characteristic function of the open ball |p - center| < radius."""
@@ -260,12 +321,13 @@ class BallIndicator(FieldNode):
     center: tuple  # complex per coordinate
     radius: float
     value_range = (0.0, 1.0)
+    piecewise_constant = True
 
     @property
     def reads(self):
         return frozenset(range(len(self.center)))
 
-    def ev(self, pts):
+    def _d2(self, pts):
         _check_width(pts, len(self.center), "ball")
         c = np.asarray(self.center, dtype=complex)
         # A huge distance squares to inf, which is outside the ball.  The
@@ -274,7 +336,31 @@ class BallIndicator(FieldNode):
             d2 = np.abs(pts[:, 0] - c[0]) ** 2
             for j in range(1, c.size):
                 d2 += np.abs(pts[:, j] - c[j]) ** 2
-        return (d2 < self.radius * self.radius).astype(float)
+        return d2
+
+    def ev(self, pts):
+        return (self._d2(pts) < self.radius * self.radius).astype(float)
+
+    def slack(self, pts):
+        """_edge_slack of d = fl(sqrt(d2)) against r = |radius|.
+
+        Notation: u = 2^-53, N = len(center), D = |p - c| exactly, and
+        eps = (N + 12) u as in _edge_slack, whose conditions this derives.
+        ev computes d2 = D^2 (1 + theta) with |theta| <= gamma_{N+7}: each
+        term carries 7 relative errors of u (the complex difference, hypot
+        within an ulp, the square), the sum N - 1 more and underflow one.
+        It says "inside" iff d2 < fl(r r) = r^2 (1 + u), so surely inside
+        where D < r (1 - (N + 8) u / 2) and surely outside where
+        D >= r (1 + (N + 8) u / 2), to first order: both implied by the
+        conditions, with eps (D + r) >= (N + 12) u r.  And d = D (1 + eta)
+        with |eta| <= (N + 9) u / 2 < eps.  In the range, with r >= 2^-480,
+        underflow's absolute error in d, below sqrt(N + 1) 2^-537, is far
+        below eps r, and with D(q) <= 2^502 nothing the test computes at q
+        overflows.  At a point with a non-finite coordinate d is inf or
+        NaN, so the slack is 0.
+        """
+        d = np.sqrt(self._d2(pts))
+        return _edge_slack(d, abs(float(self.radius)), len(self.center))
 
 
 @dataclass(frozen=True)
@@ -283,6 +369,7 @@ class BoxIndicator(FieldNode):
 
     bounds: tuple  # of 4-tuples
     value_range = (0.0, 1.0)
+    piecewise_constant = True
 
     @property
     def reads(self):
@@ -297,21 +384,53 @@ class BoxIndicator(FieldNode):
             inside &= (z.imag > ilo) & (z.imag < ihi)
         return inside.astype(float)
 
+    def slack(self, pts):
+        """|min_k g_k| (1 - 4u) - 2^-1022, and 0 where that is below 0.
+
+        g_k are the 4N gaps x - re_lo, re_hi - x, y - im_lo, im_hi - y of
+        the strict tests ev makes, computed in floats; fl(a - b) has the
+        sign of a - b exactly, so ev says "inside" iff every g_k > 0.  A
+        move by s shifts every gap by at most s.  Inside, the least gap
+        stays positive for s below it; outside, a test with g_k <= 0 keeps
+        failing for s up to |g_k|, and the least g_k is the largest such.
+        fl(g) is within u |g| of g when normal and exact when subnormal, so
+        the factor (1 - 4u) and the 2^-1022 put s strictly below |g|.  The
+        slack is 0 at points with a non-finite coordinate.
+        """
+        _check_width(pts, len(self.bounds), "box")
+        gap = np.full(pts.shape[0], np.inf)
+        with np.errstate(invalid="ignore"):
+            for i, (rlo, rhi, ilo, ihi) in enumerate(self.bounds):
+                z = pts[:, i]
+                for g in (z.real - rlo, rhi - z.real, z.imag - ilo, ihi - z.imag):
+                    gap = np.minimum(gap, g)
+            s = np.abs(gap) * (1 - 4 * _U) - 2.0**-1022
+            ok = np.isfinite(pts).all(axis=1) & (s > 0)
+        return np.where(ok, s, 0.0)
+
 
 @dataclass(frozen=True)
 class DistanceIndicator(FieldNode):
     """Open neighborhood {dist(p, S) < radius} of a set S.
 
-    within(pts, radius) answers dist(pts, S) < radius as a bool array of
-    shape (M,) for points of shape (M, N); ``CompactSet.within`` is one.
+    region.within(pts, radius) answers dist(pts, S) < radius as a bool
+    array of shape (M,) for points of shape (M, N), and
+    region.clearance(pts, radius) bounds per point how far it may move
+    before that answer can change; ``CompactSet`` is such a region, and
+    derives its clearance from ``CompactSet.distance`` through
+    _edge_slack.
     """
 
-    within: object
+    region: object
     radius: float
     value_range = (0.0, 1.0)
+    piecewise_constant = True
 
     def ev(self, pts):
-        return self.within(pts, self.radius).astype(float)
+        return self.region.within(pts, self.radius).astype(float)
+
+    def slack(self, pts):
+        return self.region.clearance(pts, self.radius)
 
 
 @dataclass(frozen=True)
@@ -353,6 +472,13 @@ class ScalarField:
         return self.expr.reads
 
     @cached_property
+    def piecewise_constant(self) -> bool:
+        """Whether every leaf is a constant or an indicator, so that
+        ``slack`` can be positive; the descent screens its trials only
+        then, and computes no slack for any other field."""
+        return self.expr.piecewise_constant
+
+    @cached_property
     def floor(self) -> float:
         """A float at or below every value of the field (-inf when the
         expression bounds nothing), so the mean of any samples, rounded,
@@ -374,6 +500,16 @@ class ScalarField:
             raise ValueError("points must have shape (M, N)")
         out = self.expr.ev(pts)
         return np.asarray(out, dtype=float)
+
+    def slack(self, pts) -> np.ndarray:
+        """Per point of pts, shape (M, N), how far it may move (euclidean
+        norm in C^N) before ``values`` can give other bits there: the least
+        slack of the expression's nodes, 0 unless every leaf is a constant
+        or an indicator."""
+        pts = np.asarray(pts, dtype=complex)
+        if pts.ndim != 2:
+            raise ValueError("points must have shape (M, N)")
+        return np.asarray(self.expr.slack(pts), dtype=float)
 
 
 def pushforward_field(u: ScalarField, branch: BranchMap) -> ScalarField:

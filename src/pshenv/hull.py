@@ -25,6 +25,7 @@ from .functional import (
     Op,
     QuadratureSpec,
     ScalarField,
+    _edge_slack,
     boundary_means,
     eval_field,
     parse_field,
@@ -226,6 +227,40 @@ class CompactSet:
             out |= self._box_distance(flat, np.full(n, np.inf)) < radius
         return out.reshape(pts.shape[:-1])
 
+    def clearance(self, pts, radius) -> np.ndarray:
+        """How far each point may move before ``within(pts, radius)`` can
+        change: _edge_slack of g = ``distance(p)`` against U = radius, with
+        extra = R, the largest ball radius (0 without balls).
+
+        pts has shape (..., N); the result has shape pts.shape[:-1].
+        Notation: u = 2^-53, G = dist(p, K) exactly, which is 1-Lipschitz,
+        and eps = (N + 12) u as in _edge_slack, whose conditions this
+        derives.  For ball b, with rho_b = |p - c_b|, ``distance`` computes
+        d_b = fl(sqrt(S_b)), where S_b sums the N squared moduli:
+        S_b = rho_b^2 (1 + theta), |theta| <= gamma_{N+7} (as in
+        _screen_slack), so d_b = rho_b (1 + eta) with |eta| <= (N + 9) u / 2,
+        and e_b = fl(d_b - r_b) = (d_b - r_b)(1 + u').  Its part distance
+        max(0, e_b) is within |eta| r_b + (|eta| + u) |rho_b - r_b|
+        <= eps (G_b + R) of the exact max(0, rho_b - r_b) = G_b
+        (|rho_b - r_b| <= G_b + r_b; max(0, .) moves nothing further).  A
+        box's distance carries only relative errors, below (N + 3) u.  So
+        g, the least part distance, lies within eps (G + R) of G: the
+        least exact part gives the upper side, and every computed part is
+        at least G (1 - eps) - eps R.  With U >= 2^-480, underflow's
+        absolute errors, below sqrt(N + 1) 2^-536, stay far below eps U.
+        With G <= 2^502 and R <= 2^500 the least exact part's differences
+        stay below 2^503 and do not overflow; a farther part may overflow,
+        but only to inf, which keeps the lower side.  ``within`` answers
+        exactly ``distance(pts) < radius``, so it says "inside" where
+        G (1 + eps) + eps R < U and "outside" where
+        G (1 - eps) - eps R >= U, as _edge_slack asks.  At a point with a
+        non-finite coordinate g is inf or NaN, so the clearance is 0.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.distance(pts)
+        R = self._radii.max() if self.balls else 0.0
+        return _edge_slack(g, float(radius), self.ambient_dim, R)
+
     def contains(self, p) -> bool:
         return float(self.distance(np.atleast_1d(np.asarray(p, complex)))) == 0.0
 
@@ -310,10 +345,11 @@ def _check_U(U_radius) -> float:
 def membership_field(K: CompactSet, U_radius: float) -> ScalarField:
     """-1 on the open neighborhood {dist(.,K) < U_radius}, 0 elsewhere.
 
-    The field asks ``K.within`` for each batch of points.  Raises
-    ValueError unless U_radius is finite and > 0.
+    The field asks ``K.within`` for each batch of points, and
+    ``K.clearance`` for the slack the descent screens its trials with.
+    Raises ValueError unless U_radius is finite and > 0.
     """
-    return ScalarField(Op("neg", (DistanceIndicator(K.within, _check_U(U_radius)),)))
+    return ScalarField(Op("neg", (DistanceIndicator(K, _check_U(U_radius)),)))
 
 
 def exceptional_nodes(K: CompactSet, nodes, U_radius: float):

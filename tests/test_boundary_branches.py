@@ -143,44 +143,67 @@ def test_boundary_error_bound_holds_on_both_branches(M):
         assert np.all(np.abs(got - want) <= bound[:, None, :]), rows
 
 
+def _powers_tables(M, run):
+    # Rows of the circle_powers(M, .) tables that run() builds, whoever
+    # calls the function and however it was imported: the cache starts
+    # empty, loses nothing while run() goes (a table built twice would be a
+    # second miss), and afterwards holds only tables of fewer than
+    # _FFT_ROWS rows at this M, each found by a probe that hits.
+    disc.circle_powers.cache_clear()
+    run()
+    info = disc.circle_powers.cache_info()
+    assert info.misses == info.currsize
+    rows = []
+    for degree in range(FFT_DEGREE):
+        hits = disc.circle_powers.cache_info().hits
+        disc.circle_powers(M, degree)
+        if disc.circle_powers.cache_info().hits > hits:
+            rows.append(degree + 1)
+    assert len(rows) == info.currsize
+    disc.circle_powers.cache_clear()
+    return rows
+
+
 def test_no_powers_matrix_is_built_for_fft_sized_discs(monkeypatch):
     # The powers cache holds at most degree-23 matrices, so it never grows
     # back to (deg + 1) x M entries per high-degree stage.
-    built, transformed = [], []
-    real_powers, real_fft = disc.circle_powers, disc._fft_boundaries
-
-    def powers(M, degree):
-        built.append(degree + 1)
-        return real_powers(M, degree)
+    transformed = []
+    real_fft = disc._fft_boundaries
 
     def fft(coeffs, M, out):
         transformed.append(coeffs.shape[1])
         return real_fft(coeffs, M, out)
 
-    monkeypatch.setattr(disc, "circle_powers", powers)
     monkeypatch.setattr(disc, "_fft_boundaries", fft)
-    rng = np.random.default_rng(7)
-    for rows in range(1, DEGREE_CAP + 2):
-        c = rng.normal(size=(3, rows, 2)) + 0j
-        c[1, 1:] = 0.0       # a constant disc inside a high-degree stack
-        c[2, FFT_DEGREE:] = 0.0
-        # out with unit stride along M, as stacked_boundaries requires.
-        out = np.empty((3, 2, 64), dtype=complex).transpose(0, 2, 1)
-        got = stacked_boundaries(c, 64, out)
-        for k in range(3):
-            assert np.array_equal(got[k], boundary_from_coeffs(c[k], 64))
-    assert max(built) == FFT_DEGREE and min(transformed) == disc._FFT_ROWS
-    # A degree-32 search in a window scores and repairs its trials on the
-    # FFT branch alone.  The point lies outside the ball: inside it the
-    # constant disc already reads the field's floor -1, and the search
+
+    def stacks():
+        rng = np.random.default_rng(7)
+        for rows in range(1, DEGREE_CAP + 2):
+            c = rng.normal(size=(3, rows, 2)) + 0j
+            c[1, 1:] = 0.0       # a constant disc inside a high-degree stack
+            c[2, FFT_DEGREE:] = 0.0
+            # out with unit stride along M, as stacked_boundaries requires.
+            out = np.empty((3, 2, 64), dtype=complex).transpose(0, 2, 1)
+            got = stacked_boundaries(c, 64, out)
+            for k in range(3):
+                assert np.array_equal(got[k], boundary_from_coeffs(c[k], 64))
+
+    assert max(_powers_tables(64, stacks)) == FFT_DEGREE
+    assert min(transformed) == disc._FFT_ROWS
+    # A degree-32 search in a window scores, screens and repairs its trials
+    # on the FFT branch alone.  The point lies outside the ball: inside it
+    # the constant disc already reads the field's floor -1, and the search
     # scores no other trial.
-    built.clear()
     transformed.clear()
     b = SearchBudget(degree_schedule=(32,), restarts=1, descent_iters=1, seed=3)
-    envelope_at(parse_field("-indicator(ball(0, 0; 0.5))"),
-                euclidean_space(1, [0j], [1.0]), np.array([0.7 + 0j]), b,
-                QuadratureSpec(M=64))
-    assert set(transformed) == {33} and max(built) < disc._FFT_ROWS
+
+    def search():
+        envelope_at(parse_field("-indicator(ball(0, 0; 0.5))"),
+                    euclidean_space(1, [0j], [1.0]), np.array([0.7 + 0j]), b,
+                    QuadratureSpec(M=64))
+
+    _powers_tables(64, search)
+    assert set(transformed) == {33}
 
 
 def _both_layouts(n, width, M):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pshenv.disc import (
     AnalyticDisc,
@@ -184,6 +186,52 @@ def test_compose_center_preserved_random():
         c = np.exp(2j * np.pi * rng.random())
         h = compose_rh(f, lam, k, c)
         assert np.array_equal(h.coeffs[0], f.coeffs[0])
+
+
+_PART = st.floats(-3, 3, allow_subnormal=False)
+
+
+@st.composite
+def _fitted_families(draw):
+    # A base disc from generated coefficients, children on its boundary
+    # points with generated rows, and the Laurent fit of that family.
+    width = draw(st.integers(1, 2))
+    deg_f = draw(st.integers(0, 4))
+    parts = draw(st.lists(_PART, min_size=2 * width * (deg_f + 1),
+                          max_size=2 * width * (deg_f + 1)))
+    fc = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(
+        deg_f + 1, width)
+    f = AnalyticDisc(fc)
+    B = draw(st.sampled_from([4, 8, 16]))
+    deg_c = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 0.1, 1.0, 10.0]))
+    ang = family_angles(B)
+    ring = f.eval(np.exp(1j * ang))
+    kids = []
+    for j in range(B):
+        rows = scale * (rng.normal(size=(deg_c, width))
+                        + 1j * rng.normal(size=(deg_c, width)))
+        kids.append(AnalyticDisc(np.vstack([ring[j][None, :], rows])))
+    m = draw(st.integers(0, 2))
+    try:
+        lam, _ = fit_laurent(BoundaryFamily(f, ang, tuple(kids)), m,
+                             draw(st.integers(1, deg_c)),
+                             draw(st.integers(0, B // 2 - 1)))
+    except IllConditioned:
+        assume(False)
+    return f, lam
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_fitted_families(), st.integers(1, 8), st.floats(0, 1))
+def test_compose_rh_keeps_the_centre_exactly(fitted, k_over_m, phase):
+    # Every k > m and every phase: the composed disc's centre row, and so
+    # its centre, are the base disc's bit for bit.
+    f, lam = fitted
+    h = compose_rh(f, lam, lam.m + k_over_m, np.exp(2j * np.pi * phase))
+    assert h.coeffs[0].tobytes() == f.coeffs[0].tobytes()
+    assert h.center().tobytes() == f.center().tobytes()
 
 
 def test_compose_validation():

@@ -42,12 +42,15 @@ from pshenv.errors import (
     PointOutsideWindow,
 )
 from pshenv.functional import (
+    Const,
+    Op,
     QuadratureSpec,
     ScalarField,
     eval_field,
     parse_field,
     poisson_functional,
 )
+from pshenv.hull import CompactSet, membership_field
 from pshenv.oracle import field_on_grid, grid_domain, interp_bilinear
 from pshenv.space import BranchMap, curve_space, euclidean_space, polydisc
 
@@ -411,6 +414,103 @@ def test_floor_stop_changes_no_curve_search():
         d, d0 = _assert_floor_changes_nothing(u, space, x, budget, q)
         saved += d0["trials"] - d["trials"]
     assert saved > 0
+
+
+def _without_screen(u, space, x, b, q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarField, "piecewise_constant",
+                   property(lambda self: False))
+        return envelope_at(u, space, x, b, q)
+
+
+def _assert_screen_changes_nothing(u, space, x, b, q):
+    # The search with steady trials left out against the search that scores
+    # every trial: the same bits, no more trials scored.
+    v, w, d = envelope_at(u, space, x, b, q)
+    v0, w0, d0 = _without_screen(u, space, x, b, q)
+    assert _search_bits(v, w, d) == _search_bits(v0, w0, d0)
+    assert d["trials"] <= d0["trials"] and d0["steady"] == 0
+    return d, d0
+
+
+def _distance_leaf(dim):
+    # -1 near two small balls, through the hull's own indicator.
+    K = CompactSet.from_points([[0.5] + [0.0] * (dim - 1),
+                                [-0.3j] + [0.2] * (dim - 1)], 0.1)
+    return membership_field(K, 0.15).expr
+
+
+def _screened_fields(dim):
+    # Ball, box and distance leaves under neg, min, max, + and * with
+    # constants: every leaf is a constant or an indicator.
+    texts = _C1_LEAVES[:3] + (_C2_LEAVES[4:6] if dim == 2 else [])
+    leaves = st.sampled_from([parse_field(t).expr for t in texts]
+                             + [_distance_leaf(dim)])
+    consts = st.sampled_from([Const(0.5), Const(-2.0), Const(0.25)])
+    return st.recursive(
+        leaves,
+        lambda e: (e.map(lambda a: Op("neg", (a,)))
+                   | st.tuples(st.sampled_from(["min", "max", "+"]), e, e).map(
+                       lambda t: Op(t[0], t[1:]))
+                   | st.tuples(consts, e).map(lambda t: Op("*", t))
+                   | st.tuples(e, consts).map(lambda t: Op("+", t))),
+        max_leaves=4,
+    ).map(ScalarField)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), dim=st.sampled_from([1, 2]), window=st.booleans(),
+       seed=st.integers(0, 3))
+def test_screen_changes_no_search(data, dim, window, seed):
+    # Leaving out the trials that keep their incumbent's samples keeps
+    # value, witness, stages, rounds and glue rounds bit for bit, in C^1
+    # and C^2, with and without a window, and scores no more trials.
+    u = data.draw(_screened_fields(dim))
+    assert u.piecewise_constant
+    x = [complex(*data.draw(st.tuples(st.floats(-0.6, 0.6),
+                                      st.floats(-0.6, 0.6))))
+         for _ in range(dim)]
+    space = (euclidean_space(dim, radii=1.0) if window
+             else euclidean_space(dim))
+    _assert_screen_changes_nothing(u, space, x, replace(_GLUED, seed=seed), Q64)
+
+
+def test_screen_leaves_out_trials_on_the_hull_and_liouville_fields():
+    # A hull certificate search at the centre of a circle of balls, and the
+    # unbounded indicator at |x| = 2: trials are left out, bit for bit.
+    circle = CompactSet.from_points(
+        [[np.exp(2j * np.pi * k / 16), 0.0] for k in range(16)], 0.05)
+    hull_budget = SearchBudget(degree_schedule=(1, 2), restarts=2,
+                               descent_iters=8, seed=1)
+    d, d0 = _assert_screen_changes_nothing(
+        membership_field(circle, 0.1), euclidean_space(2, radii=[1.5, 1.5]),
+        [0j, 0j], hull_budget, QuadratureSpec(M=128))
+    assert d["steady"] > 0 and d["trials"] < d0["trials"]
+    liouville = SearchBudget(degree_schedule=(8, 16), restarts=1,
+                             descent_iters=4, rh_rounds=1, boundary_points=4,
+                             child_degree=4, seed=1)
+    d, d0 = _assert_screen_changes_nothing(
+        parse_field("-indicator(ball(0, 0; 1))"), euclidean_space(1), [2.0],
+        liouville, QuadratureSpec(M=128))
+    assert d["steady"] > 0 and d["trials"] < d0["trials"]
+
+
+@pytest.mark.parametrize("text", ["min(-indicator(ball(0, 0; 0.5)), re(z1))",
+                                  "abs2(z1)", "-indicator(ball(0, 0; 0.5))"])
+def test_only_piecewise_constant_fields_compute_a_slack(monkeypatch, text):
+    # A field with a coordinate leaf never asks for a slack, so the screen
+    # costs continuous fields nothing; an indicator field does ask.
+    asked = []
+    real = ScalarField.slack
+
+    def slack(self, pts):
+        asked.append(len(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(ScalarField, "slack", slack)
+    u = parse_field(text)
+    _, _, d = envelope_at(u, euclidean_space(1), [0.7], SMALL, Q64)
+    assert bool(asked) == u.piecewise_constant
 
 
 def test_search_at_the_floor_scores_only_the_constant_disc():

@@ -21,7 +21,11 @@ from pshenv.functional import (
     poisson_functional,
     pushforward_field,
 )
+from pshenv.hull import CompactSet
 from pshenv.space import BranchMap
+
+# A one-point set in C^1, for the distance indicator.
+_ORIGIN = CompactSet(balls=(([0j], 0.0),))
 
 
 def test_parse_and_eval_basics():
@@ -204,9 +208,9 @@ def test_division_field():
     (BoxIndicator(((0, 1, 0, 1), (0, 1, 0, 1))), frozenset({0, 1})),
     (parse_field("re(z1) + max(abs2(z3), 1)").expr, frozenset({0, 2})),
     (parse_field("-log(2 + 0 * exp(1))").expr, frozenset()),
-    (DistanceIndicator(lambda pts, r: pts[:, 0] == 0, 0.1), None),
+    (DistanceIndicator(_ORIGIN, 0.1), None),
     (Op("+", (parse_field("re(z1)").expr,
-              DistanceIndicator(lambda pts, r: pts[:, 0] == 0, 0.1))), None),
+              DistanceIndicator(_ORIGIN, 0.1))), None),
     (BranchCompose(BranchMap("b", ([0.0, 1.0], [0.0])),
                    parse_field("re(z1)").expr), None),
     (decreasing_approximation(parse_field("re(z2)"), 3.0).expr,
@@ -247,7 +251,7 @@ def test_indicator_wider_than_the_points_raises(text):
 
 
 _ANY = (-np.inf, np.inf)
-_DIST = DistanceIndicator(lambda pts, r: pts[:, 0] == 0, 0.1)
+_DIST = DistanceIndicator(_ORIGIN, 0.1)
 
 
 @pytest.mark.parametrize("node, span", [
