@@ -219,7 +219,9 @@ class AnalyticDisc:
     branch: BranchMap | None = None
 
     def __post_init__(self):
-        c = _trim_rows(_coeff_matrix(self.coeffs))
+        # A copy of its own: a view would keep the whole array it was cut
+        # from (a search's stack of trials, say) alive with the disc.
+        c = np.array(_trim_rows(_coeff_matrix(self.coeffs)))
         if not np.all(np.isfinite(c.view(float))):
             raise ValueError("disc coefficients must be finite")
         if self.branch is not None and c.shape[1] != 1:

@@ -148,8 +148,8 @@ class _Frame:
     window repair rescales them all and a curve has one.  floor is the
     field's lower bound ``ScalarField.floor``: a disc whose value is at or
     below it is optimal.  screens says whether the descent skips the trials
-    that keep their incumbent's samples (``_room``): only in C^N, for a
-    field whose leaves are constants and indicators
+    whose samples cannot fall below their incumbent's (``_room``): only in
+    C^N, for a field whose leaves are constants and indicators
     (``ScalarField.piecewise_constant``); a pushed-forward field is not one.
     trials counts the discs handed to ``_score_stack``, steady the descent
     trials skipped instead; repairs[k] counts the window repairs that
@@ -597,8 +597,9 @@ def _first_improvement(frame, q, trials, best, btol):
 
 
 def _room(frame, M, coeffs):
-    """Per column, the step below which a descent trial keeps the
-    incumbent's samples bit for bit: an array of shape (dim,).
+    """Per column, the step below which a descent trial cannot beat the
+    incumbent: no sample of it is below the incumbent's at the same node.
+    An array of shape (dim,).
 
     A trial adds delta, |delta| = mag, to one coefficient a of column c
     (rows >= 1), as ``_descend`` makes it, so a' = fl(a + delta) moves
@@ -612,12 +613,16 @@ def _room(frame, M, coeffs):
     2 e S_l, which covers a trial that moves the disc to the other branch.
     The node moves by at most the sum, in the euclidean norm of C^N.
 
-    The trial is steady when that sum is below reach, the least field slack
-    (``ScalarField.slack``) over the incumbent's nodes, and each column's
-    move is below clear_l, its clearance to the window wall: every node
-    keeps its field value, so the samples are the incumbent's, and the
-    trial passes ``_Frame.fits``, so it is not repaired.  Its value is the
-    incumbent's, and it cannot win.  The nodes are those of
+    The trial is steady when that sum is below reach, the least fall slack
+    (``ScalarField.slack`` of way -1) over the incumbent's nodes, and each
+    column's move is below clear_l, its clearance to the window wall: no
+    node's field value falls, and the trial passes ``_Frame.fits``, so it
+    is not repaired.  ``boundary_means`` adds each row in a fixed order
+    and divides by M, both monotone under rounding to nearest, so its
+    value is at least the incumbent's, and it cannot win.  It cannot
+    raise DomainError either: the nodes asked for way 0 keep their bits,
+    and the others sit under operators whose ranges are finite, where no
+    value is NaN or infinite.  The nodes are those of
     ``stacked_boundaries`` on the incumbent alone, which are the bits its
     samples were taken at, as a disc gets the same bits in any stack.
     The wall: ``fits`` passes a node when fl(|fl(b - w)|) <= W =
@@ -636,7 +641,7 @@ def _room(frame, M, coeffs):
     u, g = 2.0**-53, 2.0**-40
     bnd = np.empty((1, frame.dim, M), dtype=complex).transpose(0, 2, 1)
     b = stacked_boundaries(coeffs[None], M, out=bnd)[0]
-    reach = float(frame.u_eff.slack(b).min())
+    reach = float(frame.u_eff.slack(b, -1).min())
     clear = np.full(frame.dim, np.inf)
     if frame.constraint is not None:
         win = frame.constraint
@@ -674,10 +679,10 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     window by ``_project`` (row scaling, center row untouched); a stack may
     span several rows.  When ``frame.screens``, each incumbent (the start
     disc and every win) gets its ``_room``, and a stack leaves out the
-    trials whose step is below their column's room: they keep the
-    incumbent's samples bit for bit, so they would score the incumbent's
-    value and lose, and cannot raise DomainError, since the incumbent's
-    samples did not.  A stack with no trial left is never built, so a sweep
+    trials whose step is below their column's room: no sample of theirs
+    can fall below the incumbent's, so they would score at least the
+    incumbent's value and lose, and they cannot raise DomainError.  A
+    stack with no trial left is never built, so a sweep
     whose every trial is steady is a sweep with no win; ``frame.steady``
     counts the trials left out.  The first win, repaired or not, is the new
     disc and makes the later trials of its stack stale, so the sweep goes on
@@ -945,8 +950,8 @@ def envelope_at(
     z^M = 1, so a disc such as x - x z^M would look constant there and its
     node mean would say nothing about its Poisson integral.  diag["trials"]
     counts the trial discs the search scored, diag["steady"] the descent
-    trials it left out because they keep their incumbent's samples bit for
-    bit (``_room``), and diag["repairs"] the window repairs that picked
+    trials it left out because no sample of theirs can fall below their
+    incumbent's (``_room``), and diag["repairs"] the window repairs that picked
     each rho of _RHO_GRID, then the constant disc, all summed over the
     lifts.
     diag["floor"] is ``u.floor``: no disc's node mean is below it beyond

@@ -17,11 +17,15 @@ also gives a float range (lo, hi) that holds all its values
 (``value_range``), so the search can stop at a disc whose mean reaches the
 field's lower bound, and a per-point slack (``slack``): how far a point may
 move, in the euclidean norm of C^N, before the node's computed value can
-change.  A constant never changes and an indicator only where a point
-crosses its set's edge, so a field built from those alone
-(``ScalarField.piecewise_constant``) lets the search skip a trial that
-moves no boundary node by its slack: the trial's samples are its
-incumbent's, bit for bit.
+change, or, asked for a way, before it can fall (way -1) or rise (+1).  A
+constant never changes and an indicator only where a point crosses its
+set's edge, and not at all in the way its value already sits at the end
+of its range; an operator of finite range over arguments of finite range
+passes the way down through the operators that are monotone in each
+argument (``_OpSpec.ways``).  So a field built from constants and
+indicators alone (``ScalarField.piecewise_constant``) lets the search skip
+a trial that moves no boundary node by its fall slack: no sample of the
+trial is below its incumbent's, so neither is the mean.
 
 Values live in R union {-inf}: log 0 is -inf (nonpositive arguments fold
 into the same convention), -inf + finite is -inf, min/max propagate it,
@@ -83,10 +87,11 @@ class FieldNode:
     def ev(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def slack(self, pts):
-        """Per point of pts, shape (M, N), a float s >= 0 such that ev gives
-        the same bits at every point within s of it (euclidean norm in
-        C^N); 0 for node kinds that do not say."""
+    def slack(self, pts, way=0):
+        """Per point p of pts, shape (M, N), a float s >= 0 such that ev
+        gives, at every point q within s of p (euclidean norm in C^N), the
+        same bits as at p (way 0), a value no lower (way -1) or no higher
+        (way +1); 0 for node kinds that do not say."""
         return np.zeros(pts.shape[0])
 
 
@@ -103,7 +108,7 @@ class Const(FieldNode):
     def ev(self, pts):
         return np.full(pts.shape[0], float(self.value))
 
-    def slack(self, pts):
+    def slack(self, pts, way=0):
         return np.full(pts.shape[0], np.inf)
 
 
@@ -197,12 +202,30 @@ def _unbounded(*ranges):
     return _ANY
 
 
+def _sign(r) -> int:
+    """1 when the range r is >= 0, -1 when it is <= 0, 0 when it spans 0."""
+    return 1 if r[0] >= 0 else -1 if r[1] <= 0 else 0
+
+
+def _rising(*ranges):
+    return (1,) * len(ranges)
+
+
+def _product_ways(a, b):
+    # a * b rises with a where b >= 0 and falls with it where b <= 0.
+    return (_sign(b), _sign(a))
+
+
 class _OpSpec(NamedTuple):
     arity: int  # 0 for two or more
     real_args: bool  # every argument must be real-valued
     real: bool  # the result is real; if False, real when every argument is
     fn: Callable  # (pts, *argument nodes) -> values
     span: Callable  # (*argument ranges) -> range (lo, hi) of the values
+    # (*argument ranges) -> per argument, 1 if the computed value never
+    # falls as that argument's value rises, -1 if it never rises, 0 if
+    # neither, or None for all 0.  Op.slack asks that way times its own.
+    ways: Callable = None
 
 
 _OPS = {
@@ -214,21 +237,23 @@ _OPS = {
     "log": _OpSpec(1, True, True, _log, _unbounded),
     "exp": _OpSpec(1, True, True, _exp, _nonnegative),
     "neg": _OpSpec(1, False, False, lambda pts, a: -a.ev(pts),
-                   lambda a: (-a[1], -a[0])),
+                   lambda a: (-a[1], -a[0]), lambda a: (-1,)),
     "+": _OpSpec(2, False, False,
                  _arith("addition", lambda pts, a, b: a.ev(pts) + b.ev(pts)),
-                 _corners(operator.add)),
+                 _corners(operator.add), _rising),
     "-": _OpSpec(2, False, False,
                  _arith("subtraction", lambda pts, a, b: a.ev(pts) - b.ev(pts)),
-                 _corners(operator.sub)),
+                 _corners(operator.sub), lambda a, b: (1, -1)),
     "*": _OpSpec(2, False, False,
                  _arith("multiplication", lambda pts, a, b: a.ev(pts) * b.ev(pts)),
-                 _corners(operator.mul)),
+                 _corners(operator.mul), _product_ways),
     "/": _OpSpec(2, False, False, _arith("division", _quotient), _unbounded),
     "min": _OpSpec(0, True, True, _fold(np.minimum),
-                   lambda *r: (min(lo for lo, _ in r), min(hi for _, hi in r))),
+                   lambda *r: (min(lo for lo, _ in r), min(hi for _, hi in r)),
+                   _rising),
     "max": _OpSpec(0, True, True, _fold(np.maximum),
-                   lambda *r: (max(lo for lo, _ in r), max(hi for _, hi in r))),
+                   lambda *r: (max(lo for lo, _ in r), max(hi for _, hi in r)),
+                   _rising),
 }
 
 
@@ -272,9 +297,29 @@ class Op(FieldNode):
     def ev(self, pts):
         return _OPS[self.name].fn(pts, *self.args)
 
-    def slack(self, pts):
-        # The operator's value is a function of its arguments' values alone.
-        return reduce(np.minimum, (a.slack(pts) for a in self.args))
+    @cached_property
+    def _ways(self) -> tuple:
+        """Per argument, the factor Op.slack gives the way it asks it for:
+        the spec's ``ways`` where this node's range and every argument's
+        are finite, 0 otherwise.
+
+        Within finite ranges every value is finite, so +, -, * and the
+        folds never meet NaN or raise; rounding to nearest is monotone,
+        so fl(a + b), fl(a - b), fl(a * b) (b of one sign), min, max and
+        neg move with their arguments as the exact operations do.
+        """
+        spec = _OPS[self.name]
+        ranges = [a.value_range for a in self.args]
+        finite = all(np.isfinite(r).all() for r in ranges + [self.value_range])
+        if spec.ways is None or not finite:
+            return (0,) * len(self.args)
+        return spec.ways(*ranges)
+
+    def slack(self, pts, way=0):
+        # The operator's value is a function of its arguments' values alone,
+        # monotone in each along _ways.
+        return reduce(np.minimum, (a.slack(pts, way * w)
+                                   for a, w in zip(self.args, self._ways)))
 
 
 def _check_width(pts, width: int, what: str):
@@ -314,6 +359,15 @@ def _edge_slack(dist, edge: float, N: int, extra: float = 0.0):
     return np.where(ok, s, 0.0)
 
 
+def _at_the_end(s, inside, way: int):
+    """The slack s of an indicator, raised to +inf where it is asked for a
+    way its value cannot go: where it is 0 (not inside) for way -1, where
+    it is 1 (inside) for way +1.  inside must be ev's own test."""
+    if not way:
+        return s
+    return np.where(inside == (way > 0), np.inf, s)
+
+
 @dataclass(frozen=True)
 class BallIndicator(FieldNode):
     """Characteristic function of the open ball |p - center| < radius."""
@@ -341,8 +395,11 @@ class BallIndicator(FieldNode):
     def ev(self, pts):
         return (self._d2(pts) < self.radius * self.radius).astype(float)
 
-    def slack(self, pts):
-        """_edge_slack of d = fl(sqrt(d2)) against r = |radius|.
+    def slack(self, pts, way=0):
+        """_edge_slack of d = fl(sqrt(d2)) against r = |radius|, or +inf
+        where ev's test d2 < fl(r r) puts the value at the end of its range
+        in the way asked (outside for -1, inside for +1): an indicator
+        never falls below 0 nor rises above 1.
 
         Notation: u = 2^-53, N = len(center), D = |p - c| exactly, and
         eps = (N + 12) u as in _edge_slack, whose conditions this derives.
@@ -359,8 +416,9 @@ class BallIndicator(FieldNode):
         overflows.  At a point with a non-finite coordinate d is inf or
         NaN, so the slack is 0.
         """
-        d = np.sqrt(self._d2(pts))
-        return _edge_slack(d, abs(float(self.radius)), len(self.center))
+        d2 = self._d2(pts)
+        s = _edge_slack(np.sqrt(d2), abs(float(self.radius)), len(self.center))
+        return _at_the_end(s, d2 < self.radius * self.radius, way)
 
 
 @dataclass(frozen=True)
@@ -384,8 +442,10 @@ class BoxIndicator(FieldNode):
             inside &= (z.imag > ilo) & (z.imag < ihi)
         return inside.astype(float)
 
-    def slack(self, pts):
-        """|min_k g_k| (1 - 4u) - 2^-1022, and 0 where that is below 0.
+    def slack(self, pts, way=0):
+        """|min_k g_k| (1 - 4u) - 2^-1022, and 0 where that is below 0; or
+        +inf where the value is at the end of its range in the way asked,
+        as for the ball.
 
         g_k are the 4N gaps x - re_lo, re_hi - x, y - im_lo, im_hi - y of
         the strict tests ev makes, computed in floats; fl(a - b) has the
@@ -395,7 +455,9 @@ class BoxIndicator(FieldNode):
         failing for s up to |g_k|, and the least g_k is the largest such.
         fl(g) is within u |g| of g when normal and exact when subnormal, so
         the factor (1 - 4u) and the 2^-1022 put s strictly below |g|.  The
-        slack is 0 at points with a non-finite coordinate.
+        two-sided slack is 0 at points with a non-finite coordinate.  The
+        least gap is > 0 exactly where ev says "inside": a NaN gap, which
+        np.minimum passes on, is where one of ev's tests fails.
         """
         _check_width(pts, len(self.bounds), "box")
         gap = np.full(pts.shape[0], np.inf)
@@ -406,7 +468,7 @@ class BoxIndicator(FieldNode):
                     gap = np.minimum(gap, g)
             s = np.abs(gap) * (1 - 4 * _U) - 2.0**-1022
             ok = np.isfinite(pts).all(axis=1) & (s > 0)
-        return np.where(ok, s, 0.0)
+        return _at_the_end(np.where(ok, s, 0.0), gap > 0, way)
 
 
 @dataclass(frozen=True)
@@ -415,9 +477,10 @@ class DistanceIndicator(FieldNode):
 
     region.within(pts, radius) answers dist(pts, S) < radius as a bool
     array of shape (M,) for points of shape (M, N), and
-    region.clearance(pts, radius) bounds per point how far it may move
-    before that answer can change; ``CompactSet`` is such a region, and
-    derives its clearance from ``CompactSet.distance`` through
+    region.clearance(pts, radius, way) bounds per point how far it may
+    move before that answer can change (way 0), or can turn to "inside"
+    (way +1) or to "outside" (way -1); ``CompactSet`` is such a region,
+    and derives its clearance from ``CompactSet.distance`` through
     _edge_slack.
     """
 
@@ -429,8 +492,8 @@ class DistanceIndicator(FieldNode):
     def ev(self, pts):
         return self.region.within(pts, self.radius).astype(float)
 
-    def slack(self, pts):
-        return self.region.clearance(pts, self.radius)
+    def slack(self, pts, way=0):
+        return self.region.clearance(pts, self.radius, way)
 
 
 @dataclass(frozen=True)
@@ -501,15 +564,17 @@ class ScalarField:
         out = self.expr.ev(pts)
         return np.asarray(out, dtype=float)
 
-    def slack(self, pts) -> np.ndarray:
+    def slack(self, pts, way: int = 0) -> np.ndarray:
         """Per point of pts, shape (M, N), how far it may move (euclidean
-        norm in C^N) before ``values`` can give other bits there: the least
-        slack of the expression's nodes, 0 unless every leaf is a constant
-        or an indicator."""
+        norm in C^N) before ``values`` can give other bits there (way 0),
+        or a lower value (way -1), or a higher one (way +1): the least
+        slack of the expression's nodes, each asked in the way its
+        operators turn (``FieldNode.slack``), 0 unless every leaf is a
+        constant or an indicator."""
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim != 2:
             raise ValueError("points must have shape (M, N)")
-        return np.asarray(self.expr.slack(pts), dtype=float)
+        return np.asarray(self.expr.slack(pts, way), dtype=float)
 
 
 def pushforward_field(u: ScalarField, branch: BranchMap) -> ScalarField:

@@ -25,6 +25,7 @@ from .functional import (
     Op,
     QuadratureSpec,
     ScalarField,
+    _at_the_end,
     _edge_slack,
     boundary_means,
     eval_field,
@@ -42,6 +43,8 @@ TWO_PI = 2.0 * np.pi
 # Outside that range within() is distance() < U outright.
 _SCREEN_MAX = 2.0**1000
 _SCREEN_MIN_RADIUS = 2.0**-480
+# The most values CompactSet.distance's (points, balls, N) temporary holds.
+_DISTANCE_CHUNK = 2**15
 
 
 def _screen_slack(N: int) -> float:
@@ -143,6 +146,7 @@ class CompactSet:
         with np.errstate(over="ignore"):
             object.__setattr__(self, "_y2", 2.0 * y)
             object.__setattr__(self, "_yy", np.einsum("ij,ij->i", y, y))
+        object.__setattr__(self, "_centers", cs)
         object.__setattr__(self, "_radii", np.array([r for _, r in balls]))
 
     @classmethod
@@ -163,13 +167,22 @@ class CompactSet:
         sample clouds of ``verify_certificate`` use it.  The hull fields ask
         only whether the distance is below a radius, and ``within`` answers
         that faster.
+
+        Each ball b gives sqrt(sum_j |p_j - c_bj|^2) - r_b, floored at 0,
+        and the least over the balls from +inf; all balls at once, over
+        chunks of points that keep the (points, balls, N) temporary within
+        _DISTANCE_CHUNK values.
         """
         pts = np.asarray(pts, dtype=complex)
-        best = np.full(pts.shape[:-1], np.inf)
-        for c, r in self.balls:
-            d = np.sqrt(np.sum(np.abs(pts - c) ** 2, axis=-1))
-            best = np.minimum(best, np.maximum(0.0, d - r))
-        return self._box_distance(pts, best)
+        flat = pts.reshape(-1, pts.shape[-1])
+        best = np.full(len(flat), np.inf)
+        step = max(1, _DISTANCE_CHUNK // max(1, self._centers.size))
+        for i in range(0, len(flat), step):
+            d = np.add.reduce(np.abs(flat[i:i + step, None] - self._centers) ** 2,
+                              axis=-1)
+            np.minimum.reduce(np.maximum(0.0, np.sqrt(d) - self._radii), axis=-1,
+                              initial=np.inf, out=best[i:i + step])
+        return self._box_distance(flat, best).reshape(pts.shape[:-1])
 
     def _box_distance(self, pts, best):
         """best lowered, elementwise, to the distance to each box."""
@@ -227,10 +240,13 @@ class CompactSet:
             out |= self._box_distance(flat, np.full(n, np.inf)) < radius
         return out.reshape(pts.shape[:-1])
 
-    def clearance(self, pts, radius) -> np.ndarray:
+    def clearance(self, pts, radius, way: int = 0) -> np.ndarray:
         """How far each point may move before ``within(pts, radius)`` can
         change: _edge_slack of g = ``distance(p)`` against U = radius, with
-        extra = R, the largest ball radius (0 without balls).
+        extra = R, the largest ball radius (0 without balls).  For way -1,
+        how far before it can turn from True to False, and for +1 from
+        False to True: +inf where it is False, or True, already.  ``within``
+        answers exactly g < radius, the test that decides this.
 
         pts has shape (..., N); the result has shape pts.shape[:-1].
         Notation: u = 2^-53, G = dist(p, K) exactly, which is 1-Lipschitz,
@@ -259,7 +275,8 @@ class CompactSet:
         with np.errstate(over="ignore", invalid="ignore"):
             g = self.distance(pts)
         R = self._radii.max() if self.balls else 0.0
-        return _edge_slack(g, float(radius), self.ambient_dim, R)
+        s = _edge_slack(g, float(radius), self.ambient_dim, R)
+        return _at_the_end(s, g < float(radius), way)
 
     def contains(self, p) -> bool:
         return float(self.distance(np.atleast_1d(np.asarray(p, complex)))) == 0.0

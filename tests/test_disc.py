@@ -63,6 +63,17 @@ def test_disc_validation():
     assert f.degree == 1
 
 
+def test_disc_owns_its_coefficients():
+    # A disc cut from a stack of trials keeps its own copy: the stack is
+    # not kept alive by it, and writing to the stack leaves the disc as it
+    # was.
+    stack = np.ones((16, 65, 1), dtype=complex)
+    f = AnalyticDisc(stack[3])
+    assert f.coeffs.base is None and f.coeffs.nbytes == 65 * 16
+    stack[3] = 2.0
+    assert np.all(f.coeffs == 1.0)
+
+
 def test_boundary_values_match_eval():
     f = AnalyticDisc(np.array([[0.1 + 0j, 0j], [0.5 + 0.2j, 1 + 0j]]))
     M = 32

@@ -423,13 +423,47 @@ def _without_screen(u, space, x, b, q):
         return envelope_at(u, space, x, b, q)
 
 
+def _two_sided(u, space, x, b, q):
+    # The screen with every node's slack asked for way 0: a trial is left
+    # out only when no sample can change at all.
+    real = ScalarField.slack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarField, "slack",
+                   lambda self, pts, way=0: real(self, pts))
+        return envelope_at(u, space, x, b, q)
+
+
+def _search_or_error(search, u, space, x, b, q):
+    # (search bits, diag), or, when the search raises DomainError, its
+    # message and the bytes of the trial stack whose scoring raised it.
+    raised = []
+    real = envelope._score_stack
+
+    def recording(frame, q, trials):
+        try:
+            return real(frame, q, trials)
+        except DomainError:
+            raised.append(np.asarray(trials).tobytes())
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_score_stack", recording)
+        try:
+            v, w, d = search(u, space, x, b, q)
+        except DomainError as e:
+            return ("raised", str(e), raised[-1] if raised else None), None
+    return _search_bits(v, w, d), d
+
+
 def _assert_screen_changes_nothing(u, space, x, b, q):
     # The search with steady trials left out against the search that scores
-    # every trial: the same bits, no more trials scored.
-    v, w, d = envelope_at(u, space, x, b, q)
-    v0, w0, d0 = _without_screen(u, space, x, b, q)
-    assert _search_bits(v, w, d) == _search_bits(v0, w0, d0)
-    assert d["trials"] <= d0["trials"] and d0["steady"] == 0
+    # every trial: the same bits, no more trials scored; or the same
+    # DomainError, raised by the same trial.
+    got, d = _search_or_error(envelope_at, u, space, x, b, q)
+    want, d0 = _search_or_error(_without_screen, u, space, x, b, q)
+    assert got == want
+    if d is not None:
+        assert d["trials"] <= d0["trials"] and d0["steady"] == 0
     return d, d0
 
 
@@ -441,19 +475,27 @@ def _distance_leaf(dim):
 
 
 def _screened_fields(dim):
-    # Ball, box and distance leaves under neg, min, max, + and * with
-    # constants: every leaf is a constant or an indicator.
+    # Ball, box and distance leaves, and log(1 + indicator), under neg, min,
+    # max, +, - and * of two subtrees, * and + with constants, abs and
+    # division by a constant; log, abs and / ask their subtrees for the
+    # two-sided slack.  Every leaf is a constant or an indicator.
     texts = _C1_LEAVES[:3] + (_C2_LEAVES[4:6] if dim == 2 else [])
-    leaves = st.sampled_from([parse_field(t).expr for t in texts]
-                             + [_distance_leaf(dim)])
+    indicators = [parse_field(t).expr for t in texts]
+    leaves = st.sampled_from(indicators + [_distance_leaf(dim)])
     consts = st.sampled_from([Const(0.5), Const(-2.0), Const(0.25)])
+    log1p = st.sampled_from(indicators).map(
+        lambda a: Op("log", (Op("+", (Const(1.0), a)),)))
+    unary = {"neg": lambda a: Op("neg", (a,)), "abs": lambda a: Op("abs", (a,))}
+    scaled = {"*": lambda a, c: Op("*", (c, a)), "+": lambda a, c: Op("+", (a, c)),
+              "/": lambda a, c: Op("/", (a, c))}
     return st.recursive(
-        leaves,
-        lambda e: (e.map(lambda a: Op("neg", (a,)))
-                   | st.tuples(st.sampled_from(["min", "max", "+"]), e, e).map(
-                       lambda t: Op(t[0], t[1:]))
-                   | st.tuples(consts, e).map(lambda t: Op("*", t))
-                   | st.tuples(e, consts).map(lambda t: Op("+", t))),
+        leaves | log1p,
+        lambda e: (st.tuples(st.sampled_from(sorted(unary)), e).map(
+                       lambda t: unary[t[0]](t[1]))
+                   | st.tuples(st.sampled_from(["min", "max", "+", "-", "*"]),
+                               e, e).map(lambda t: Op(t[0], t[1:]))
+                   | st.tuples(st.sampled_from(sorted(scaled)), e, consts).map(
+                       lambda t: scaled[t[0]](*t[1:]))),
         max_leaves=4,
     ).map(ScalarField)
 
@@ -489,10 +531,28 @@ def test_screen_leaves_out_trials_on_the_hull_and_liouville_fields():
     liouville = SearchBudget(degree_schedule=(8, 16), restarts=1,
                              descent_iters=4, rh_rounds=1, boundary_points=4,
                              child_degree=4, seed=1)
-    d, d0 = _assert_screen_changes_nothing(
-        parse_field("-indicator(ball(0, 0; 1))"), euclidean_space(1), [2.0],
-        liouville, QuadratureSpec(M=128))
+    u, q = parse_field("-indicator(ball(0, 0; 1))"), QuadratureSpec(M=128)
+    d, d0 = _assert_screen_changes_nothing(u, euclidean_space(1), [2.0],
+                                           liouville, q)
     assert d["steady"] > 0 and d["trials"] < d0["trials"]
+    # The nodes inside the ball can only leave it, which raises the mean:
+    # asking for the fall slack leaves out more than the two-sided one.
+    v, w, d = envelope_at(u, euclidean_space(1), [2.0], liouville, q)
+    v2, w2, d2 = _two_sided(u, euclidean_space(1), [2.0], liouville, q)
+    assert _search_bits(v, w, d) == _search_bits(v2, w2, d2)
+    assert d["trials"] < d2["trials"] and d2["steady"] > 0
+
+
+def test_screen_raises_where_scoring_every_trial_raises():
+    # Outside both balls the field is -inf - (-inf): the search meets that
+    # in its descent, and raises DomainError at the same trial with the
+    # screen on and off.
+    u = parse_field("log(indicator(ball(0, 0; 0.5)))"
+                    " - log(indicator(ball(0.3, 0; 0.5)))")
+    got, d = _search_or_error(envelope_at, u, euclidean_space(1), [0.15],
+                              SMALL, Q64)
+    assert got[0] == "raised" and got[2] is not None
+    _assert_screen_changes_nothing(u, euclidean_space(1), [0.15], SMALL, Q64)
 
 
 @pytest.mark.parametrize("text", ["min(-indicator(ball(0, 0; 0.5)), re(z1))",
@@ -503,9 +563,9 @@ def test_only_piecewise_constant_fields_compute_a_slack(monkeypatch, text):
     asked = []
     real = ScalarField.slack
 
-    def slack(self, pts):
+    def slack(self, pts, way=0):
         asked.append(len(pts))
-        return real(self, pts)
+        return real(self, pts, way)
 
     monkeypatch.setattr(ScalarField, "slack", slack)
     u = parse_field(text)

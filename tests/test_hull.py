@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshenv import cli
+from pshenv import cli, hull
 from pshenv.envelope import SearchBudget
 from pshenv.errors import SchemaMismatch
 from pshenv.functional import QuadratureSpec, eval_field, parse_field
@@ -124,6 +124,33 @@ def _sets_and_points(draw):
             shell.append(p)
     pts = np.array(pts + shell, dtype=complex).reshape(-1, N)
     return K, U, pts, np.array(shell, dtype=complex).reshape(-1, N), ball
+
+
+def _distance_ball_by_ball(K, pts):
+    """CompactSet.distance as one loop over the balls: per ball the
+    distance to its centre less its radius, floored at 0, lowering the
+    least so far from +inf; then the boxes."""
+    best = np.full(pts.shape[:-1], np.inf)
+    for c, r in K.balls:
+        d = np.sqrt(np.sum(np.abs(pts - c) ** 2, axis=-1))
+        best = np.minimum(best, np.maximum(0.0, d - r))
+    return K._box_distance(pts, best)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_sets_and_points(), st.sampled_from([1, 5, hull._DISTANCE_CHUNK]))
+def test_distance_keeps_the_bits_of_one_ball_at_a_time(case, chunk):
+    # All balls at once, in chunks of points, give the loop's bytes, NaN and
+    # inf included, in C order, transposed, strided and (k, n, N) layouts.
+    K, _, pts, _, _ = case
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_DISTANCE_CHUNK", chunk)
+        stacked = np.concatenate([pts, pts[::-1]]).reshape(2, -1, pts.shape[1])
+        for layout in (pts, np.ascontiguousarray(pts.T).T, pts[::2], stacked):
+            want = _distance_ball_by_ball(K, layout)
+            got = K.distance(layout)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def _within_counting_fallback(K, pts, U):

@@ -105,27 +105,31 @@ def _leaf(N):
 @st.composite
 def _tree(draw, N, depth=2):
     """(node, [(edge point, its normal)] of its leaves): a leaf, or neg,
-    min, max, + or * of subtrees, with constant factors."""
+    min, max, + or - of subtrees, * of two non-constant subtrees, or a
+    subtree times a constant factor."""
     if depth == 0 or draw(st.booleans()):
         node, edge, normal = draw(_leaf(N))
         return node, [(edge, normal)]
-    op = draw(st.sampled_from(["neg", "min", "max", "+", "*", "scale"]))
-    a, ea = draw(_tree(N, depth - 1))
+    op = draw(st.sampled_from(["neg", "min", "max", "+", "-", "*", "scale"]))
+    sub = _tree(N, depth - 1)
+    if op == "*":
+        sub = sub.filter(lambda t: not isinstance(t[0], Const))
+    a, ea = draw(sub)
     if op == "neg":
         return Op("neg", (a,)), ea
     if op == "scale":
-        return Op("*", (Const(draw(st.sampled_from([-2.0, 0.5, 3.0]))), a)), ea
-    b, eb = draw(_tree(N, depth - 1))
+        return Op("*", (Const(draw(st.sampled_from([-2.0, -0.5, 0.5, 3.0]))), a)), ea
+    b, eb = draw(sub)
     return Op(op, (a, b)), ea + eb
 
 
 @st.composite
 def _case(draw):
-    """(node, point p, directions) in C^1 or C^2: the directions are the
-    leaves' normals at their edge points, which cross an edge soonest."""
+    """(node, point p, edges) in C^1 or C^2: edges holds, per leaf, a
+    point near its edge and the edge's normal there, the direction that
+    crosses it soonest."""
     N = draw(st.sampled_from([1, 2]))
     node, edges = draw(_tree(N))
-    normals = [w for _, w in edges]
     kind = draw(st.sampled_from(["edge", "generic", "huge", "nonfinite"]))
     if kind == "edge":
         p = edges[draw(st.integers(0, len(edges) - 1))][0]
@@ -139,7 +143,7 @@ def _case(draw):
         parts[draw(st.integers(0, 2 * N - 1))] = draw(
             st.sampled_from([np.inf, -np.inf, np.nan]))
         p = parts.view(complex)
-    return node, p, normals
+    return node, p, edges
 
 
 def _exactly_within(q, p, s) -> bool:
@@ -170,10 +174,16 @@ def _bits(node, p):
     return node.ev(p[None, :]).tobytes()
 
 
+def _direction(N, normals):
+    return (_unit(N) | st.sampled_from(normals).map(lambda w: w.copy())
+            | st.sampled_from(normals).map(lambda w: -w))
+
+
 @PROPERTY
 @given(_case(), st.data())
 def test_values_keep_their_bits_within_the_slack(case, data):
-    node, p, normals = case
+    node, p, edges = case
+    normals = [w for _, w in edges]
     N = p.size
     s = float(node.slack(p[None, :])[0])
     assert s >= 0
@@ -188,12 +198,74 @@ def test_values_keep_their_bits_within_the_slack(case, data):
     want = _bits(node, p)
     reach = s if np.isfinite(s) else 1e6
     for _ in range(4):
-        v = data.draw(_unit(N) | st.sampled_from(normals).map(lambda w: w.copy())
-                      | st.sampled_from(normals).map(lambda w: -w))
+        v = data.draw(_direction(N, normals))
         on_sphere = _toward(p, reach, v)
         inside = _toward(p, reach * data.draw(st.floats(0, 1)), v)
         assert _bits(node, on_sphere) == want
         assert _bits(node, inside) == want
+
+
+@PROPERTY
+@given(_case(), st.sampled_from([-1, 1]), st.data())
+def test_values_go_only_the_other_way_within_the_directional_slack(case, way,
+                                                                     data):
+    # Within slack(p, -1) no point reads a lower value than p, within
+    # slack(p, +1) no point a higher one, and each is at least slack(p, 0).
+    # An infinite slack is tried at distances from far inside an edge's
+    # rounding to far beyond every set, and, as it holds everywhere, at
+    # each leaf's edge point and 1e-3 to either side of it.
+    node, p, edges = case
+    N = p.size
+    s = float(node.slack(p[None, :], way)[0])
+    assert s >= float(node.slack(p[None, :])[0])
+    assert s == float(ScalarField(node).slack(p[None, :], way)[0])
+    if s == 0 or not np.isfinite(p).all():
+        return
+    probes = []
+    for _ in range(4):
+        v = data.draw(_direction(N, [w for _, w in edges]))
+        reach = s if np.isfinite(s) else data.draw(
+            st.sampled_from([1e-9, 1e-3, 0.1, 0.5, 1.0, 3.0, 1e6]))
+        probes += [_toward(p, reach * t, v)
+                   for t in (1.0, data.draw(st.floats(0, 1)))]
+    if not np.isfinite(s):
+        probes += [e + d * w for e, w in edges for d in (0.0, 1e-3, -1e-3)]
+    at_p = node.ev(p[None, :])[0]
+    got = node.ev(np.array(probes))
+    assert np.all(got >= at_p) if way < 0 else np.all(got <= at_p)
+
+
+def test_a_negated_indicator_can_fall_only_from_outside():
+    # -indicator reads -1 inside the ball, its least value, so an inside
+    # point's fall slack is +inf and an outside point's is its two-sided
+    # slack; the rise slack is the other way round.  A factor -2 turns the
+    # way as neg does.
+    pts = np.array([[0.25 + 0j], [0.9 + 0.1j]])
+    ball = BallIndicator((0j,), 0.5)
+    for u in (parse_field("-indicator(ball(0, 0; 0.5))"),
+              ScalarField(Op("*", (Const(-2.0), ball)))):
+        both = u.slack(pts)
+        assert np.all(np.isfinite(both)) and np.all(both > 0)
+        assert u.slack(pts, -1).tolist() == [np.inf, both[1]]
+        assert u.slack(pts, 1).tolist() == [both[0], np.inf]
+
+
+@pytest.mark.parametrize("text", [
+    "-abs(indicator(ball(0, 0; 0.5)))",
+    "log(1 + indicator(ball(0, 0; 0.5)))",
+    "-indicator(ball(0, 0; 0.5)) / 2",
+    # 1e308 + 1e308 overflows, and inf * 0 is NaN: the ranges are not finite.
+    "(1e308 * indicator(ball(0, 0; 0.5)) + 1e308 * indicator(ball(0, 0; 0.7)))"
+    " * -indicator(ball(0.3, 0; 0.5))",
+])
+def test_directional_slack_is_two_sided_where_no_way_passes(text):
+    # abs, log and / pass no way on, nor does an operator whose range, or
+    # an argument's, is not finite.
+    pts = np.array([[0.25 + 0j], [0.6 + 0j], [0.9 + 0.1j]])
+    u = parse_field(text)
+    assert u.piecewise_constant and np.all(u.slack(pts) > 0)
+    for way in (-1, 1):
+        assert u.slack(pts, way).tolist() == u.slack(pts).tolist()
 
 
 def test_slack_is_the_distance_to_the_edge_less_rounding():
