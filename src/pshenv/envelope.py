@@ -146,8 +146,11 @@ class _Frame:
     a descent moves: in C^N without a window only those the field reads,
     since no other column can change a value; every column otherwise, as a
     window repair rescales them all and a curve has one.  floor is the
-    field's lower bound ``ScalarField.floor``: a disc whose value is at or
-    below it is optimal.  screens says whether the descent skips the trials
+    searched field's lower bound ``ScalarField.floor``, on a curve that of
+    the pushed-forward field, which is its constant value where the branch
+    holds constant every coordinate the field reads
+    (``BranchCompose.value_range``): a disc whose value is at or below it
+    is optimal.  screens says whether the descent skips the trials
     whose samples cannot fall below their incumbent's (``_room``): only in
     C^N, for a field whose leaves are constants and indicators
     (``ScalarField.piecewise_constant``); a pushed-forward field is not one.
@@ -169,7 +172,7 @@ class _Frame:
             self.cols = sorted(u.reads)
         else:
             self.cols = list(range(self.dim))
-        self.floor = u.floor
+        self.floor = self.u_eff.floor
         self.screens = self.u_eff.piecewise_constant
         self.trials = 0
         self.steady = 0
@@ -339,7 +342,7 @@ def _score_stack(frame, q, trials):
     the margin by which a value must beat an incumbent: IMPROVE_TOL inflated
     to a few hundred ulps of the mean absolute sample, the resolution below
     which two evaluations cannot be told apart (IMPROVE_TOL for a value of
-    -inf).
+    -inf or +inf, whose sample scale is infinite too).
     """
     M, n = q.M, len(trials)
     frame.trials += n
@@ -367,7 +370,7 @@ def _score_stack(frame, q, trials):
     values = boundary_means(samples)
     scale = np.add.reduce(np.abs(samples), axis=1) / M
     tols = np.maximum(_NOISE_ULPS * scale, IMPROVE_TOL)
-    tols[values == -np.inf] = IMPROVE_TOL
+    tols[np.isinf(values)] = IMPROVE_TOL
     return coeffs, values, tols
 
 
@@ -865,9 +868,9 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
     Each stage descends its candidates in turn, then the structured seed of
     ``_best_seed``, and runs the glue rounds.  Once the incumbent's value is
     at or below ``frame.floor`` a stage descends no further candidate and
-    scans no seed, since none could beat it (see ``_descend``); the glue
-    rounds still run, so ``diag["rounds"]`` and ``diag["rh"]`` keep their
-    entries.
+    scans no seed, since none could beat it (see ``_descend``), and draws
+    no further random restart; the glue rounds still run, so
+    ``diag["rounds"]`` and ``diag["rh"]`` keep their entries.
     """
     center = np.asarray(center, dtype=complex).reshape(frame.dim)
     best_c, best_v, _ = _score(frame, q, center[None, :].copy())
@@ -883,13 +886,16 @@ def _search_core(frame, q, b: SearchBudget, center, key_base, extra_seeds=()):
         for s in extra_seeds:
             s = np.asarray(s, dtype=complex)
             cands.append(("extra", _resize(s, d, frame.dim)))
-        for ridx in range(b.restarts):
-            rng = _rng(key_base + (si, ridx))
-            cands.append(("restart", _random_coeffs(rng, center, d)))
+        cands += [("restart", key_base + (si, ridx))
+                  for ridx in range(b.restarts)]
         source = "carried"
         for name, cand in cands:
             if best_v <= frame.floor:
                 break
+            if name == "restart":
+                # Drawn from its stream only now, so a stage at its floor
+                # draws no restart.
+                cand = _random_coeffs(_rng(cand), center, d)
             cc, cv, ct = _descend(frame, q, cand, d, b.descent_iters)
             if cv < best_v - ct:
                 best_c, best_v, source = cc, cv, name
@@ -954,9 +960,11 @@ def envelope_at(
     incumbent's (``_room``), and diag["repairs"] the window repairs that picked
     each rho of _RHO_GRID, then the constant disc, all summed over the
     lifts.
-    diag["floor"] is ``u.floor``: no disc's node mean is below it beyond
-    rounding, so value - floor bounds the distance to the best disc, and a
-    value at or below floor is optimal.
+    diag["floor"] is the least ``_Frame.floor`` over the lifts, ``u.floor``
+    for a euclidean point: the value is the least over the lifts, and no
+    disc's node mean on a lift is below its floor beyond rounding, so
+    value - floor bounds the distance to the best disc, and a value at or
+    below floor is optimal.
     """
     b = budget if budget is not None else SearchBudget()
     qq = q if q is not None else QuadratureSpec()
@@ -972,11 +980,12 @@ def envelope_at(
             raise PointOutsideWindow(f"point {x} lies outside the window")
     key = (b.seed, int(point_index))
     lifts = _lifts(space, x)
-    best, trials, steady, repairs = None, 0, 0, 0
+    best, trials, steady, repairs, floor = None, 0, 0, 0, np.inf
     for label, t in lifts:
         branch = None if label is None else space.branch(label)
         frame = _Frame(u, space, branch)
         v, c, diag = _search_core(frame, qq, b, t, key)
+        floor = min(floor, frame.floor)
         trials += frame.trials
         steady += frame.steady
         repairs = repairs + frame.repairs
@@ -987,7 +996,7 @@ def envelope_at(
     best[2]["trials"] = trials
     best[2]["steady"] = steady
     best[2]["repairs"] = repairs.tolist()
-    best[2]["floor"] = u.floor
+    best[2]["floor"] = floor
     return best
 
 

@@ -509,6 +509,30 @@ class BranchCompose(FieldNode):
 
     @property
     def value_range(self):
+        """(v, v) when the branch holds constant every coordinate the inner
+        field reads, v its value at ``branch.eval(0)``; the inner field's
+        range otherwise, and when that value raises DomainError or is NaN.
+
+        A constant component has a length-1 coefficient vector c, and
+        ``polyval`` gives c + t * 0 for it, which at every finite node t is
+        c up to the sign of a zero part.  Every operator and indicator gives
+        the same value for arguments that differ only in the sign of a
+        zero, up to the sign of a zero result: log takes a nonpositive
+        argument to -inf, division refuses a zero denominator of either
+        sign, and the NaN tests do not see signs.  So every sample of every
+        disc on the branch is v, and a disc whose node mean is at or below
+        v is optimal.  When the mean of M copies of v rounds above v no
+        disc stops there, and every trial ties with the constant disc.
+        """
+        comps, reads = self.branch.components, self.inner.reads
+        if (self.inner.is_real and reads is not None
+                and all(i < len(comps) and len(comps[i]) == 1 for i in reads)):
+            try:
+                v = float(self.inner.ev(self.branch.eval(np.zeros(1)))[0])
+            except DomainError:
+                v = np.nan
+            if v == v:
+                return (v, v)
         return self.inner.value_range
 
     def ev(self, pts):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from pshenv.errors import (
     PointOutsideWindow,
 )
 from pshenv.functional import (
+    BranchCompose,
     Const,
     Op,
     QuadratureSpec,
@@ -49,10 +51,17 @@ from pshenv.functional import (
     eval_field,
     parse_field,
     poisson_functional,
+    pushforward_field,
 )
 from pshenv.hull import CompactSet, membership_field
 from pshenv.oracle import field_on_grid, grid_domain, interp_bilinear
-from pshenv.space import BranchMap, curve_space, euclidean_space, polydisc
+from pshenv.space import (
+    BranchMap,
+    curve_space,
+    euclidean_space,
+    lift_point,
+    polydisc,
+)
 
 SMALL = SearchBudget(degree_schedule=(2,), restarts=2, descent_iters=5, seed=1)
 Q64 = QuadratureSpec(M=64)
@@ -253,13 +262,14 @@ def test_trials_count_every_scored_disc_of_every_lift(monkeypatch):
         scored.append(len(trials))
         return real(frame, q, trials)
 
+    # The field reads both coordinates, so neither lift's search stops at
+    # a constant disc.
+    u = parse_field("abs2(z1 - 1) + abs2(z2 - 1)")
     monkeypatch.setattr(envelope, "_score_stack", counting)
-    _, _, diag = envelope_at(parse_field("abs2(z1 - 1)"), two_axes_space(),
-                             [0.0, 0.0], SMALL, Q64)
+    _, _, diag = envelope_at(u, two_axes_space(), [0.0, 0.0], SMALL, Q64)
     assert len(diag["lifts"]) == 2
     assert diag["trials"] == sum(scored) > 0
-    _, _, one = envelope_at(parse_field("abs2(z1 - 1)"), two_axes_space(),
-                            [0.7, 0.0], SMALL, Q64)
+    _, _, one = envelope_at(u, two_axes_space(), [0.7, 0.0], SMALL, Q64)
     assert 0 < one["trials"] < diag["trials"]
 
 
@@ -335,12 +345,22 @@ def _without_floor(u, space, x, b, q):
         return envelope_at(u, space, x, b, q)
 
 
+def _least_lift_floor(u, space, x):
+    # The least floor of the field each lift of x searches: u itself in
+    # C^N, its pushforward on a curve branch.
+    if space.kind == "euclidean":
+        return u.floor
+    return min(pushforward_field(u, space.branch(label)).floor
+               for label, _ in lift_point(space, x))
+
+
 def _assert_floor_changes_nothing(u, space, x, b, q):
     v, w, d = envelope_at(u, space, x, b, q)
     v0, w0, d0 = _without_floor(u, space, x, b, q)
     assert _search_bits(v, w, d) == _search_bits(v0, w0, d0)
     assert d["trials"] <= d0["trials"]
-    assert d["floor"] == u.floor and d0["floor"] == -np.inf
+    assert d["floor"] == _least_lift_floor(u, space, x)
+    assert d0["floor"] == -np.inf
     return d, d0
 
 
@@ -414,6 +434,117 @@ def test_floor_stop_changes_no_curve_search():
         d, d0 = _assert_floor_changes_nothing(u, space, x, budget, q)
         saved += d0["trials"] - d["trials"]
     assert saved > 0
+
+
+def _with_inner_range(search, *args):
+    # The search with every pushforward given its inner field's range, as
+    # if no branch held a read coordinate constant.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BranchCompose, "value_range",
+                   property(lambda self: self.inner.value_range))
+        return search(*args)
+
+
+def test_constant_branch_field_stops_the_counterexample_searches():
+    # On the w-axis the field reads only z1, which is 0 there, so it is the
+    # constant 1 and each search ends at its constant disc; the values,
+    # witnesses, stages and rounds are those of the search that does not
+    # know it.
+    space, u, pts, budget, q, _ = cli.counterexample_scenario()
+    est = envelope_grid(u, space, pts, budget, q)
+    est0 = _with_inner_range(envelope_grid, u, space, pts, budget, q)
+    for v, w, d, v0, w0, d0 in zip(est.values, est.witnesses, est.diagnostics,
+                                   est0.values, est0.witnesses,
+                                   est0.diagnostics):
+        assert _search_bits(v, w, d) == _search_bits(v0, w0, d0)
+        assert d["trials"] <= d0["trials"]
+    on_w = [(v, d) for x, v, d in zip(pts, est.values, est.diagnostics)
+            if x[1] != 0]
+    assert len(on_w) == 24
+    assert all(v == d["floor"] == 1.0 and d["trials"] == 1 for v, d in on_w)
+    assert sum(d["trials"] for d in est.diagnostics) <= 59
+    assert sum(d["trials"] for d in est0.diagnostics) > 59
+
+
+def test_a_search_at_its_floor_draws_no_restart(monkeypatch):
+    calls = []
+    real = envelope._rng
+
+    def counting(key):
+        calls.append(key)
+        return real(key)
+
+    monkeypatch.setattr(envelope, "_rng", counting)
+    space, u, _, budget, q, _ = cli.counterexample_scenario()
+    v, _, d = envelope_at(u, space, [0.0, 0.25j], budget, q)
+    assert v == d["floor"] == 1.0 and calls == []
+    # Off its floor the same search draws each restart of its one stage.
+    envelope_at(parse_field("abs2(z1)"), euclidean_space(1), [0.3], SMALL, Q64)
+    assert calls == [(SMALL.seed, 0, 0, r) for r in range(SMALL.restarts)]
+
+
+def test_infinite_incumbent_is_beaten_by_a_finite_disc():
+    # The constant disc at the centre of the ball scores +inf; its accept
+    # threshold is IMPROVE_TOL, so a disc whose boundary leaves the ball
+    # (0.6 z scores 0) wins instead of meeting inf - inf.
+    u = parse_field("-log(1 - indicator(ball(0, 0; 0.5)))")
+    q = QuadratureSpec(M=64)
+    b = SearchBudget(degree_schedule=(8,), restarts=1, descent_iters=4, seed=1)
+    assert poisson_functional(u, AnalyticDisc(np.array([[0j], [0.6]])), q) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, w, _ = envelope_at(u, euclidean_space(1), [0.0], b, q)
+    assert v <= 0
+    assert repr(poisson_functional(u, w, q)) == repr(v)
+
+
+# Fields of one coordinate z{k}, and one of both.
+_ONE_COORD = ["abs2(z{k} - 0.5)", "1 - min(1, 1000000000000 * abs2(z{k}))",
+              "re(z{k}) - 2 * im(z{k})", "log(abs2(z{k}))", "re(1 / z{k})",
+              "max(re(z{k}), -0.25) * 3", "exp(re(z{k}))"]
+_complex = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(text=st.sampled_from(_ONE_COORD + ["abs2(z1) + re(z2)"]),
+       k=st.integers(0, 1),
+       c=st.one_of(st.sampled_from([0j, 0.5 + 0j, -0.3 + 0.2j]), _complex),
+       moving=st.lists(_complex, min_size=2, max_size=4),
+       t0=_complex, seed=st.integers(0, 3))
+def test_constant_branch_floor_holds_and_changes_no_search(text, k, c, moving,
+                                                           t0, seed):
+    assume(abs(moving[-1]) > 0.1)
+    comps = [None, None]
+    comps[k], comps[1 - k] = [c], moving
+    branch = BranchMap("b", tuple(comps))
+    u = parse_field(text.format(k=k + 1))
+    ut = pushforward_field(u, branch)
+    lo, hi = ut.expr.value_range
+    rng = np.random.default_rng(seed)
+    for M in (64, 512):
+        for deg in (1, 3, 6):
+            coeffs = np.zeros((deg + 1, 1), dtype=complex)
+            coeffs[0, 0] = t0
+            coeffs[1:, 0] = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+            try:
+                samples = ut.values(boundary_from_coeffs(coeffs, M))
+            except DomainError:
+                # No value where the field raises, and no range of its own.
+                assert (lo, hi) == u.expr.value_range
+                continue
+            assert np.all(samples >= lo)
+            if lo == hi:
+                assert np.all(samples == lo)
+    space = curve_space((branch,))
+    x = branch.eval(t0)
+    b = SearchBudget(degree_schedule=(2, 4), restarts=2, descent_iters=4,
+                     seed=seed)
+    got, d = _search_or_error(envelope_at, u, space, x, b, Q64)
+    want, d0 = _with_inner_range(_search_or_error, envelope_at, u, space, x,
+                                 b, Q64)
+    assert got == want
+    if d is not None:
+        assert d["trials"] <= d0["trials"]
 
 
 def _without_screen(u, space, x, b, q):

@@ -290,6 +290,32 @@ def test_value_ranges_of_each_node_kind(node, span):
         assert ScalarField(node).floor == span[0]
 
 
+# The two axes of zw = 0: z2 is 0.5 on the first and z1 is 0 on the second.
+_Z_LINE = BranchMap("z", ([0.0, 1.0], [0.5]))
+_W_AXIS = BranchMap("w", ([0.0], [0.0, 1.0]))
+_C2_POINT = CompactSet(balls=(([0j, 0.5 + 0j], 0.0),))
+
+
+@pytest.mark.parametrize("branch, inner, span", [
+    # Every read coordinate held constant: the field's value there.
+    (_Z_LINE, parse_field("abs2(z2 - 1)").expr, (0.25, 0.25)),
+    (_W_AXIS, parse_field("1 - min(1, 1000000000000 * abs2(z1))").expr,
+     (1.0, 1.0)),
+    (_W_AXIS, parse_field("log(abs2(z1))").expr, (-np.inf, -np.inf)),
+    # A read coordinate that varies: the inner range.
+    (_Z_LINE, parse_field("abs2(z1) + abs2(z2)").expr, (0.0, np.inf)),
+    # A node that does not say what it reads: the inner range.
+    (_Z_LINE, Op("neg", (DistanceIndicator(_C2_POINT, 0.1),)), (-1.0, 0.0)),
+    # No value at the constant point: the inner range.
+    (_W_AXIS, parse_field("re(1 / z1)").expr, (-np.inf, np.inf)),
+])
+def test_pushforward_range_where_the_branch_holds_the_read_coordinates(
+        branch, inner, span):
+    node = BranchCompose(branch, inner)
+    assert node.value_range == span
+    assert ScalarField(node).floor == span[0]
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_ball_indicator_keeps_the_summed_squares_bits(width):
     # The ball adds |p_j - c_j|^2 one coordinate at a time: its values are
