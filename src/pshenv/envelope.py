@@ -24,10 +24,12 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .disc import (
+    _FFT_ROWS,
     AnalyticDisc,
     BoundaryFamily,
     boundary_error_bound,
     boundary_from_coeffs,
+    circle_powers,
     compose_rh,
     fit_laurent,
     stacked_boundaries,
@@ -157,11 +159,12 @@ class _Frame:
     trials counts the discs handed to ``_score_stack``, steady the descent
     trials skipped instead; repairs[k] counts the window repairs that
     picked _RHO_GRID[k], and its last slot those that fell back to the
-    constant disc.
+    constant disc.  buf is the flat complex buffer ``_score_stack`` writes
+    each stack's boundaries into, grown to the largest stack scored.
     """
 
     __slots__ = ("u_eff", "branch", "dim", "constraint", "cols", "floor",
-                 "screens", "trials", "steady", "repairs")
+                 "screens", "trials", "steady", "repairs", "buf")
 
     def __init__(self, u: ScalarField, space: SpaceModel, branch=None):
         self.branch = branch
@@ -177,6 +180,7 @@ class _Frame:
         self.trials = 0
         self.steady = 0
         self.repairs = np.zeros(_RHO_GRID.size + 1, dtype=np.int64)
+        self.buf = np.empty(0, dtype=complex)
 
     def fits(self, B):
         """Whether each boundary in B, shape (..., M, dim), is in the window."""
@@ -294,7 +298,9 @@ def _screen(frame, M, stack, worst, pows):
     a_j are the K = rows coefficients, S = sum |a_j|, p_j = fl(rho^j) <= 1
     the row of pows the repair scales by, s_j = fl(a_j p_j) the scaled
     coefficients (sum |s_j| <= S to first order), zeta the exact node,
-    P_j = ``unit_roots(M)[node] ** j`` the power the screen reads, and
+    P_j = ``unit_roots(M)[node] ** j`` the power the screen reads (below
+    _FFT_ROWS rows it reads that entry of ``circle_powers``, the same bits,
+    from the table the product branch scored the stack with), and
     g = sum s_j zeta^j; c, r the window's centre and radius and
     slack = _FEAS_SLACK.
       - The full boundary b at the node, by ``stacked_boundaries``:
@@ -315,7 +321,12 @@ def _screen(frame, M, stack, worst, pows):
     absolute errors stay far below the 9u slack term.
     """
     win, u, rows = frame.constraint, 2.0**-53, stack.shape[1]
-    at = (unit_roots(M)[worst][..., None] ** np.arange(rows)).transpose(0, 2, 1)
+    if rows < _FFT_ROWS:
+        at = circle_powers(M, rows - 1)[:, worst].transpose(1, 0, 2)
+    else:
+        # No powers table is kept for FFT-sized discs.
+        at = unit_roots(M)[worst][..., None] ** np.arange(rows)
+        at = at.transpose(0, 2, 1)
     err = boundary_error_bound(rows, M) + (42 * rows + 8) * u
     with np.errstate(over="ignore", invalid="ignore"):
         vals = pows @ (stack * at)
@@ -349,8 +360,15 @@ def _score_stack(frame, q, trials):
     arr = np.asarray(trials)
     # (dim, trial, node): each trial's (M, dim) boundary is column-contiguous,
     # as boundary_from_coeffs gives it to the field, so every sample is
-    # computed by the same elementwise code.
-    stack = np.empty((frame.dim, n, M), dtype=complex)
+    # computed by the same elementwise code.  It lives in frame.buf: a fresh
+    # array per stack, freed at the top of the heap together with the
+    # field's temporaries of about its size, can reach glibc's trim
+    # threshold (twice the largest mapped block freed so far), and then
+    # every stack hands its pages back and faults them in again.
+    size = frame.dim * n * M
+    if frame.buf.size < size:
+        frame.buf = np.empty(size, dtype=complex)
+    stack = frame.buf[:size].reshape(frame.dim, n, M)
     stacked_boundaries(arr, M, out=stack.transpose(1, 2, 0))
     coeffs = list(trials)
     if frame.constraint is not None:
@@ -676,8 +694,9 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     fail: giving an unread column its first nonzero row >= 24 moves the
     whole disc to the FFT branch, which may round the read columns
     differently, and the skip drops such rounding-only wins.  The trials of
-    the next k moves,
-    k = max(dim, _STACK_SAMPLES // (8 * M * dim)), form one stack that
+    the next k moves, k = max(8 * dim, _STACK_SAMPLES // (M * dim)) // t
+    for t trials per move (eight, or four in a calm sweep, below), so that
+    a stack holds as many trials either way, form one stack that
     ``_first_improvement`` decides together, repairing those that leave the
     window by ``_project`` (row scaling, center row untouched); a stack may
     span several rows.  When ``frame.screens``, each incumbent (the start
@@ -695,13 +714,26 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
     move in turn.  The step shrinks after a sweep with no accepted move.  A
     sweep at the step of the one before it, whose last win was move W, ends
     after move W unless a move wins first: moves W+1 on lost to this very
-    disc at this very step, so they would lose again.  The descent stops as
-    soon as the disc's value is at or below ``frame.floor``, the field's
-    lower bound (at once for -inf): a trial wins only by beating the value
-    by its threshold, at least 256 ulps of its mean |sample|, and the mean
-    of samples that are all >= floor rounds below floor by far less, so no
-    later trial could win.  Returns (coeffs, value, accept threshold of the
-    winning evaluation).
+    disc at this very step, so they would lose again.  Once 4 * step <=
+    since, the step of the sweep the disc won in (_STEP_INIT for the start
+    disc), a sweep is calm: each move forms only its four trials of size
+    step, not those of size 4 * step.  The step shrinks only after a sweep
+    with no win, and the sweep at step since that follows the win covers the
+    moves before it, so every move lost to this disc at step since, all
+    eight trials, before the step first shrank, and every later sweep had
+    no win.  A trial of size 4 * step was thus tried against this very disc
+    two step cuts before, as the smaller size (the step halves exactly, so
+    4 * (s / 4) is s): it lost, or was left out as steady, so it would lose
+    again, and it cannot raise DomainError, since it was scored once without
+    raising.  A win inside a calm sweep sets since to the step, so the rest
+    of that sweep forms all eight trials again: the new disc has lost
+    nothing yet.  With both rules no trial is scored twice against one
+    disc.  The descent stops as soon as the disc's value is at or below
+    ``frame.floor``, the field's lower bound (at once for -inf): a trial
+    wins only by beating the value by its threshold, at least 256 ulps of
+    its mean |sample|, and the mean of samples that are all >= floor rounds
+    below floor by far less, so no later trial could win.  Returns (coeffs,
+    value, accept threshold of the winning evaluation).
     """
     coeffs, best, btol = _score(frame, q, coeffs)
     if best <= frame.floor or iters <= 0:
@@ -712,18 +744,23 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
         # The step below which each move's trials are steady.
         col_at = np.asarray(cols, dtype=np.intp)[np.arange(n_moves) % len(cols)]
         room = _room(frame, q.M, coeffs)[col_at]
-    step = _STEP_INIT
+    # since: the step of the sweep in which the disc won (_STEP_INIT for the
+    # start disc).
+    step = since = _STEP_INIT
     end = n_moves
     for _ in range(iters):
         # Moves from ``tried`` on lost to the disc after the sweep's last win.
         tried = None
-        deltas = np.array(_steps(step))
-        n_try = deltas.size
-        span = max(dim, _STACK_SAMPLES // (n_try * q.M * dim))
+        full = np.array(_steps(step))
         # The stack's trials to score, by index; None scores them all.
         pick = None
         m = 0
         while m < end:
+            # A calm stack leaves out the steps of 4 * step, which lost to
+            # this disc two step cuts ago.
+            deltas = full[4:] if 4 * step <= since else full
+            n_try = deltas.size
+            span = max(8 * dim, _STACK_SAMPLES // (q.M * dim)) // n_try
             stop = min(m + span, end)
             if frame.screens:
                 pick = np.flatnonzero(np.abs(deltas) >= room[m:stop, None])
@@ -745,7 +782,7 @@ def _descend(frame, q, coeffs, stage_degree: int, iters: int):
             if best <= frame.floor:
                 return coeffs, best, btol
             m += (i if pick is None else int(pick[i])) // n_try + 1
-            end, tried = n_moves, m
+            end, tried, since = n_moves, m, step
             if frame.screens:
                 room = _room(frame, q.M, coeffs)[col_at]
         if tried is not None:
@@ -956,10 +993,11 @@ def envelope_at(
     z^M = 1, so a disc such as x - x z^M would look constant there and its
     node mean would say nothing about its Poisson integral.  diag["trials"]
     counts the trial discs the search scored, diag["steady"] the descent
-    trials it left out because no sample of theirs can fall below their
-    incumbent's (``_room``), and diag["repairs"] the window repairs that picked
-    each rho of _RHO_GRID, then the constant disc, all summed over the
-    lifts.
+    trials it formed but left out because no sample of theirs can fall
+    below their incumbent's (``_room``; a trial a calm sweep of
+    ``_descend`` never forms counts in neither), and diag["repairs"] the
+    window repairs that picked each rho of _RHO_GRID, then the constant
+    disc, all summed over the lifts.
     diag["floor"] is the least ``_Frame.floor`` over the lifts, ``u.floor``
     for a euclidean point: the value is the least over the lifts, and no
     disc's node mean on a lift is below its floor beyond rounding, so

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from pshenv import cli, envelope
-from pshenv.disc import AnalyticDisc, boundary_from_coeffs, circle_powers
+from pshenv.disc import (
+    AnalyticDisc,
+    boundary_from_coeffs,
+    circle_powers,
+    unit_roots,
+)
 from pshenv.envelope import (
     _RHO_GRID,
     _STACK_SAMPLES,
@@ -1227,7 +1232,8 @@ def _serial_descent(frame, q, state, cols, n_rows, iters):
 
 def _descend_full_sweeps(frame, q, coeffs, stage_degree, iters):
     # The descent before a sweep could end at the last win of the sweep
-    # before it: every sweep tries every move.
+    # before it or leave out steps that lost two step cuts before: every
+    # sweep tries all eight steps of every move.
     coeffs, best, btol = _score(frame, q, coeffs)
     if best <= frame.floor or iters <= 0:
         return coeffs, best, btol
@@ -1285,6 +1291,67 @@ def test_sweeps_skip_only_moves_that_lost_to_the_same_disc(g, x, window, seed):
     b = SearchBudget(degree_schedule=(2, 6), restarts=2, descent_iters=6,
                      seed=seed)
     _against_full_sweeps(parse_field(g), space, [complex(*x)], b, Q64)
+
+
+_MIXED_FIELDS = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["ball(0.6, 0; 0.25)", "ball(0, 0; 0.5)",
+                     "ball(0.3, -0.1; 0.3)", "box(-0.6, 0.2, -0.3, 0.4)",
+                     "ball(1, 0; 0.5)"]),
+    st.sampled_from(["0.01", "0.1", "0.5"]),
+    st.sampled_from(["abs2(z1)", "abs2(z1 - 0.5)", "re(z1)",
+                     "log(0.5 + abs2(z1))"]),
+).map(lambda t: f"{t[0]}indicator({t[1]}) + {t[2]} * {t[3]}")
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@example(g="-indicator(ball(0.3, -0.1; 0.3)) + 0.01 * abs2(z1)", x=(0.0, 0.0),
+         window=False, iters=10, seed=1)
+@given(g=_MIXED_FIELDS,
+       x=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+       window=st.booleans(), iters=st.integers(4, 12), seed=st.integers(0, 3))
+def test_calm_sweeps_leave_out_only_steps_that_lost_to_the_same_disc(
+        g, x, window, iters, seed):
+    # An indicator plus a small continuous term wins in sweeps at many step
+    # sizes, so calm sweeps (step cut twice since the disc won) meet wins
+    # and go back to all eight steps: the search keeps the bits of full
+    # sweeps, with and without a window, and scores no more trials.  In the
+    # example a calm sweep wins part-way, and the rest of that sweep needs
+    # the larger step size against the new disc.
+    space = euclidean_space(1, radii=1.0) if window else euclidean_space(1)
+    b = SearchBudget(degree_schedule=(2, 6), restarts=2, descent_iters=iters,
+                     seed=seed)
+    _against_full_sweeps(parse_field(g), space, [complex(*x)], b, Q64)
+
+
+def test_a_win_in_a_calm_sweep_brings_back_all_eight_steps():
+    # Here a calm sweep meets a win part-way through: a descent that kept
+    # only the four steps of the step size for the rest of that sweep would
+    # leave out steps the new disc never lost, and end on another witness.
+    b = SearchBudget(degree_schedule=(2, 6), restarts=2, descent_iters=7,
+                     seed=1)
+    x = complex(-0.24034573135513826, -0.09277533456280984)
+    trials, full = _against_full_sweeps(
+        parse_field("-indicator(ball(0.6, 0; 0.25)) + 0.1*abs2(z1)"),
+        euclidean_space(1, radii=1.0), [x], b, Q64)
+    assert trials < full
+
+
+@pytest.mark.parametrize("degree", [1, 3, 4])
+def test_a_descent_with_no_win_scores_eight_then_four_steps_per_move(degree):
+    # abs2(z1) on a constant disc: no step wins, so the step is cut after
+    # every sweep, and from the third sweep on each move scores only its
+    # four steps of the step size; its four larger ones lost to this disc
+    # two step cuts before.
+    start = np.zeros((degree + 1, 1), dtype=complex)
+    start[0] = 0.3
+    for k in range(7):
+        frame = _Frame(parse_field("abs2(z1)"), euclidean_space(1))
+        _descend(frame, QuadratureSpec(M=512), start, degree, k)
+        # The start disc is scored once before the first sweep.
+        assert frame.trials - 1 == (8 * degree * min(k, 2)
+                                    + 4 * degree * max(0, k - 2))
+        assert frame.steady == 0
 
 
 def test_sweep_after_a_win_skips_the_moves_that_lost_to_it():
@@ -1376,9 +1443,11 @@ def test_descent_raises_only_where_the_serial_sweep_does():
 
 
 def test_descent_scores_two_rows_per_stack_at_m_512(monkeypatch):
-    # At M = 512 in C^1 a stack holds two moves, so a degree-4 sweep with
-    # no win is decided in two stacks: a psh field on a constant disc,
-    # where no step wins, over three sweeps.
+    # At M = 512 in C^1 a stack holds two moves of eight trials, so a
+    # degree-4 sweep with no win is decided in two stacks: a psh field on a
+    # constant disc, where no step wins, over three sweeps.  The third
+    # sweep is calm, so a stack holds four moves of four trials, and the
+    # sweep is one stack.
     calls = []
     real = envelope._first_improvement
 
@@ -1392,7 +1461,28 @@ def test_descent_scores_two_rows_per_stack_at_m_512(monkeypatch):
     start[0] = 0.3
     coeffs, value, _ = _descend(frame, QuadratureSpec(M=512), start, 4, 3)
     assert np.array_equal(coeffs, start) and value == pytest.approx(0.09)
-    assert calls == [16, 16] * 3
+    assert calls == [16, 16, 16, 16, 16]
+
+
+def test_stacks_reuse_the_frames_boundary_buffer():
+    # Every stack's boundaries go into one buffer the frame keeps, grown
+    # only for a larger stack, and each disc scores there the bits it
+    # scores alone in a fresh frame.
+    u, space, q = parse_field("abs2(z1) + abs2(z2)"), euclidean_space(2), Q64
+    frame = _Frame(u, space)
+    rng = np.random.default_rng(3)
+    discs = 0.3 * (rng.normal(size=(24, 9, 2))
+                   + 1j * rng.normal(size=(24, 9, 2)))
+    _score_stack(frame, q, discs[:16])
+    buf = frame.buf
+    assert buf.size == 2 * 16 * q.M
+    for n in (8, 1, 16):
+        _score_stack(frame, q, discs[:n])
+        assert frame.buf is buf
+    _, values, _ = _score_stack(frame, q, discs)
+    assert frame.buf.size == 2 * 24 * q.M
+    for d, v in zip(discs, values):
+        assert repr(float(v)) == repr(_score(_Frame(u, space), q, d)[1])
 
 
 def test_project_in_batches_matches_single_disc_repair():
@@ -1559,6 +1649,18 @@ def test_screen_rules_nothing_out_at_a_non_finite_value():
                                pows)
     assert may_fit[:3].all()
     assert np.array_equal(may_fit[3], 5.0 * _RHO_GRID <= 1.0)
+
+
+def test_powers_table_holds_the_bits_of_each_node_power():
+    # Below _FFT_ROWS rows the screen reads its node powers from the
+    # circle_powers table, whose every entry must be unit_roots(M)[k] ** j,
+    # the power its margin is derived for.
+    for M in (16, 48, 64, 128, 512, 2048):
+        z = unit_roots(M)
+        for rows in range(1, envelope._FFT_ROWS):
+            want = z[:, None] ** np.arange(rows)
+            assert _same_bits(circle_powers(M, rows - 1).T, want), (M, rows)
+        circle_powers.cache_clear()
 
 
 @pytest.mark.parametrize("space, u, x", [
